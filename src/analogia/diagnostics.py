@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics as nx
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
 from .encoder import EncoderParams, bigru_forward, derive_seed, encode_batch, pad_batch
-from .numerics import Tensor, finite_difference_check
+from .numerics import finite_difference_check
 from .text_data import EmbeddingTable
 
 F32_TOLERANCE = 1e-4
@@ -50,19 +50,10 @@ def _random_instance(rng, dtype):
     return table, sentences, params, y, hp
 
 
-_SELECTORS = {
-    dt: tuple(Tensor(np.eye(4, dtype=dt)[i:i + 1]) for i in range(4))
-    for dt in (np.dtype(np.float32), np.dtype(np.float64))
-}
-
-
 def _loss(table, sentences, params, y, hp):
-    """One padded 4-row encoding, rows routed into the quadruple slots by
-    constant one-hot selectors (a constant matmul input gets no gradient).
-    Selectors match the working dtype so they never promote the graph."""
+    """One padded 4-row encoding, rows gathered into the quadruple slots."""
     stacked = encode_batch(sentences, table, params)
-    selectors = _SELECTORS[params.dtype]
-    rows = {role: nx.matmul(selectors[i], stacked) for i, role in enumerate(_ROLES)}
+    rows = {role: nx.gather_rows(stacked, [i]) for i, role in enumerate(_ROLES)}
     batch = EncodedBatch(labels=np.array([y]), **rows)
     return batch_loss(batch, hp, params=params.tensors())
 
@@ -94,7 +85,7 @@ def _numeric_losses(table, sentences, y, hp):
     X, valid = pad_batch(sentences, table, np.float64)
 
     def losses(params):
-        _, pooled = bigru_forward(X, valid, params[:9], params[9:])
+        _, pooled, _ = bigru_forward(X, valid, params[:9], params[9:])
         return _loss_values(pooled, y, hp, params)
 
     return losses
@@ -106,7 +97,7 @@ def _acceptable(table, sentences, params, y, hp) -> bool:
         return False
     X, valid = pad_batch(sentences, table, params.dtype)
     weights = [t.values[None] for t in params.tensors()]
-    states, pooled = bigru_forward(X, valid, weights[:9], weights[9:])
+    states, pooled, _ = bigru_forward(X, valid, weights[:9], weights[9:])
     stacked = pooled[0].astype(np.float64)
     u = stacked[0] - stacked[1]
     v = stacked[2] - stacked[3]

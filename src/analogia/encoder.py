@@ -5,18 +5,23 @@ and another right-to-left from zero states, concatenate the two h-vectors at
 each position, then take the columnwise max over positions.  Word vectors
 come from a frozen EmbeddingTable and never join the gradient tape.
 
-``encode`` processes one sentence with vector ops.  ``encode_batch`` pads a
-whole batch to the longest sentence and must agree with per-sentence
-encoding exactly; two guards make that hold:
+The recurrence has one implementation, ``bigru_forward``: plain numpy over
+a batch padded to its longest sentence (``pad_batch``), with a leading axis
+over parameter points, so that a finite-difference audit evaluates every
+perturbed parameter set in one call.  The input projections of all three
+gates at all steps are one product; only the recurrent products stay in the
+time loop.  Two guards make a padded row equal its sentence encoded alone:
 
   - the recurrent state is frozen through pad positions (so the backward
     scan enters each sentence with a genuine zero state), and
-  - pad positions get a large negative penalty before pooling (so they can
-    never win the max; real hidden entries live in (-1, 1)).
+  - pad positions are replaced by a large negative sentinel before pooling
+    (so they can never win the max; real hidden entries live in (-1, 1)).
 
-``bigru_forward`` is the same padded computation as plain numpy, off the
-tape, with a leading axis over parameter points: finite-difference audits
-evaluate every perturbed parameter set in one call.
+``bigru`` records that kernel at one parameter point as a single tape node
+whose backward pass is hand-written backpropagation through time.
+``encode_batch`` is pad_batch, that node, then dropout, and ``encode`` is a
+one-row encode_batch, so training, inference and the audit share one
+forward pass.
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ class Dropout:
         rng = np.random.default_rng(self.seed)
         keep = rng.random(shape) >= self.rate
         return keep.astype(np.float64) / (1.0 - self.rate)
+
+    def apply(self, m: Tensor) -> Tensor:
+        """m times its mask, on the tape; m itself when dropout is a no-op."""
+        mask = self.mask(m.shape)
+        return m if mask is None else nx.hadamard(m, nx.tensor(mask, dtype=m.dtype))
 
 
 INFERENCE = Dropout()
@@ -155,49 +165,6 @@ class EncoderParams:
         return cls(forward=directions[0], backward=directions[1], hidden=hidden, input_dim=input_dim)
 
 
-def gru_cell(x_t: Tensor, h_prev: Tensor, w: GruWeights) -> Tensor:
-    """One recurrence step: update gate z, reset gate r, candidate state,
-    convex blend with the previous state."""
-    z = nx.sigmoid(nx.add(nx.add(nx.matmul(w.W_z, x_t), nx.matmul(w.U_z, h_prev)), w.b_z))
-    r = nx.sigmoid(nx.add(nx.add(nx.matmul(w.W_r, x_t), nx.matmul(w.U_r, h_prev)), w.b_r))
-    h_cand = nx.tanh(nx.add(nx.add(nx.matmul(w.W_h, x_t), nx.matmul(w.U_h, nx.hadamard(r, h_prev))), w.b_h))
-    return nx.blend(z, h_prev, h_cand)
-
-
-def _embed(tokens, table: EmbeddingTable, dtype) -> list[np.ndarray]:
-    return [table.lookup(tok).astype(dtype, copy=False) for tok in tokens]
-
-
-def encode(tokens, table: EmbeddingTable, params: EncoderParams,
-           dropout: Dropout = INFERENCE) -> Tensor:
-    """Sentence vector of length params.output_dim for one token sequence."""
-    if len(tokens) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    dtype = params.dtype
-    xs = [nx.tensor(v, dtype=dtype) for v in _embed(tokens, table, dtype)]
-
-    h0 = nx.tensor(np.zeros(params.hidden), dtype=dtype)
-    fwd_states = []
-    state = h0
-    for x in xs:
-        state = gru_cell(x, state, params.forward)
-        fwd_states.append(state)
-    bwd_states = [None] * len(xs)
-    state = h0
-    for t in range(len(xs) - 1, -1, -1):
-        state = gru_cell(xs[t], state, params.backward)
-        bwd_states[t] = state
-
-    rows = [nx.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
-    pooled = nx.maxpool_time(nx.stack_rows(rows))
-    mask = dropout.mask(pooled.shape)
-    if mask is not None:
-        pooled = nx.hadamard(pooled, nx.tensor(mask, dtype=dtype))
-    if not np.isfinite(pooled.values).all():
-        raise ValueError("non-finite sentence vector")
-    return pooled
-
-
 def pad_batch(sentences, table: EmbeddingTable, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Word vectors of a batch padded to its longest sentence: the (T, B, n)
     inputs, zero at pads, and the (T, B) mask of real token positions."""
@@ -210,68 +177,17 @@ def pad_batch(sentences, table: EmbeddingTable, dtype) -> tuple[np.ndarray, np.n
     T = max(lengths)
     X = np.zeros((T, B, table.dim), dtype=dtype)
     for i, sent in enumerate(sentences):
-        for t, vec in enumerate(_embed(sent, table, dtype)):
-            X[t, i] = vec
+        for t, tok in enumerate(sent):
+            X[t, i] = table.lookup(tok)
     valid = np.zeros((T, B), dtype=bool)
     for i, L in enumerate(lengths):
         valid[:L, i] = True
     return X, valid
 
 
-def encode_batch(sentences, table: EmbeddingTable, params: EncoderParams,
-                 dropout: Dropout = INFERENCE) -> Tensor:
-    """(B, output_dim) matrix whose row i equals encode(sentences[i]) at
-    inference; under dropout each row gets its own derived mask."""
-    h, dtype = params.hidden, params.dtype
-    X, valid = pad_batch(sentences, table, dtype)
-    T, B = valid.shape
-
-    x_const = [nx.tensor(X[t], dtype=dtype) for t in range(T)]
-
-    def direction_states(w: GruWeights, order) -> list:
-        wt = {
-            "W_z": nx.transpose(w.W_z), "U_z": nx.transpose(w.U_z), "b_z": w.b_z,
-            "W_r": nx.transpose(w.W_r), "U_r": nx.transpose(w.U_r), "b_r": w.b_r,
-            "W_h": nx.transpose(w.W_h), "U_h": nx.transpose(w.U_h), "b_h": w.b_h,
-        }
-        states = [None] * T
-        state = nx.tensor(np.zeros((B, h)), dtype=dtype)
-        for t in order:
-            z = nx.sigmoid(nx.affine2(x_const[t], wt["W_z"], state, wt["U_z"], wt["b_z"]))
-            r = nx.sigmoid(nx.affine2(x_const[t], wt["W_r"], state, wt["U_r"], wt["b_r"]))
-            h_cand = nx.tanh(nx.affine2(x_const[t], wt["W_h"], nx.hadamard(r, state),
-                                        wt["U_h"], wt["b_h"]))
-            new = nx.blend(z, state, h_cand)
-            if valid[t].all():
-                state = new
-            else:
-                # freeze rows that are past their sentence end
-                m = np.repeat(valid[t].astype(np.float64)[:, None], h, axis=1)
-                state = nx.blend(nx.tensor(m, dtype=dtype), state, new)
-            states[t] = state
-        return states
-
-    fwd = direction_states(params.forward, range(T))
-    bwd = direction_states(params.backward, range(T - 1, -1, -1))
-
-    pooled = None
-    for t in range(T):
-        row = nx.concat([fwd[t], bwd[t]], axis=1)
-        if not valid[t].all():
-            pen = np.where(valid[t], 0.0, NEG_SENTINEL)
-            row = nx.add(row, nx.tensor(np.repeat(pen[:, None], 2 * h, axis=1), dtype=dtype))
-        pooled = row if pooled is None else nx.maximum(pooled, row)
-
-    mask = dropout.mask(pooled.shape)
-    if mask is not None:
-        pooled = nx.hadamard(pooled, nx.tensor(mask, dtype=dtype))
-    if not np.isfinite(pooled.values).all():
-        raise ValueError("non-finite sentence vectors in batch")
-    return pooled
-
-
-def _gru_scan(X: np.ndarray, valid: np.ndarray, w, order) -> np.ndarray:
-    """One direction of bigru_forward: (P, T, B, h) states."""
+def _gru_scan(X: np.ndarray, valid: np.ndarray, w, order) -> tuple[np.ndarray, np.ndarray]:
+    """One direction of bigru_forward: (P, T, B, h) states and the
+    (P, T, B, 3h) gate activations z | r | h~ that its backward pass reads."""
     W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = w
     h = b_z.shape[-1]
     # input projections of every gate at every step in one product
@@ -283,31 +199,121 @@ def _gru_scan(X: np.ndarray, valid: np.ndarray, w, order) -> np.ndarray:
     b_h = b_h[:, None]
     state = np.zeros((P, B, h), dtype=xw.dtype)
     states = np.empty((P, T, B, h), dtype=xw.dtype)
+    gates = np.empty((P, T, B, 3 * h), dtype=xw.dtype)
     for t in order:
-        zr = expit((xw[:, t, :, :2 * h] + state @ u_zr) + b_zr)
+        zr = expit((xw[:, t, :, :2 * h] + state @ u_zr) + b_zr, out=gates[:, t, :, :2 * h])
         z, r = zr[..., :h], zr[..., h:]
-        h_cand = np.tanh((xw[:, t, :, 2 * h:] + (r * state) @ u_h) + b_h)
+        h_cand = np.tanh((xw[:, t, :, 2 * h:] + (r * state) @ u_h) + b_h, out=gates[:, t, :, 2 * h:])
         state = np.where(valid[t][:, None], (1.0 - z) * state + z * h_cand, state)
         states[:, t] = state
-    return states
+    return states, gates
 
 
-def bigru_forward(X: np.ndarray, valid: np.ndarray, forward, backward) -> tuple[np.ndarray, np.ndarray]:
-    """encode_batch's recurrence and pooling as plain numpy, at P parameter
+def bigru_forward(X: np.ndarray, valid: np.ndarray, forward, backward):
+    """The BiGRU recurrence and max pooling as plain numpy, at P parameter
     points at once.
 
     X and valid are pad_batch's output.  ``forward`` and ``backward`` are
     each nine arrays in GATE_NAMES order carrying a leading point axis:
-    (P, h, n) for W_*, (P, h, h) for U_*, (P, h) for b_*.  Returns the
-    (P, T, B, 2h) hidden states (forward then backward half; pad positions
-    hold the frozen state) and the (P, B, 2h) max-pooled sentence vectors,
-    which equal encode_batch's rows at inference up to float rounding.
+    (P, h, n) for W_*, (P, h, h) for U_*, (P, h) for b_*.  Returns
+
+      - the (P, T, B, 2h) hidden states, forward then backward half; pad
+        positions hold the frozen state;
+      - the (P, B, 2h) max-pooled sentence vectors;
+      - the gate activations of the forward and of the backward direction,
+        each (P, T, B, 3h) holding z | r | h~.
     """
     T = X.shape[0]
-    states = np.concatenate([_gru_scan(X, valid, forward, range(T)),
-                             _gru_scan(X, valid, backward, range(T - 1, -1, -1))], axis=-1)
+    fwd, fwd_gates = _gru_scan(X, valid, forward, range(T))
+    bwd, bwd_gates = _gru_scan(X, valid, backward, range(T - 1, -1, -1))
+    states = np.concatenate([fwd, bwd], axis=-1)
     pooled = np.where(valid[:, :, None], states, NEG_SENTINEL).max(axis=1)
-    return states, pooled
+    return states, pooled, (fwd_gates, bwd_gates)
+
+
+def _gru_scan_grads(X: np.ndarray, valid: np.ndarray, w, order,
+                    states: np.ndarray, gates: np.ndarray, d_states: np.ndarray) -> tuple:
+    """Backpropagation through time of one _gru_scan direction at one
+    parameter point.
+
+    ``w`` is the direction's nine arrays without a point axis; states,
+    gates and d_states are its (T, B, h) states, (T, B, 3h) gates and the
+    (T, B, h) loss gradient that reaches each state from the pooling.
+    Returns the nine parameter gradients in GATE_NAMES order.
+    """
+    _, U_z, _, _, U_r, _, _, U_h, _ = w
+    T, B, h = states.shape
+    order = list(order)
+    prev = np.zeros_like(states)  # the state each step starts from
+    prev[order[1:]] = states[order[:-1]]
+    z, r, h_cand = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
+    u_zr = np.concatenate([U_z, U_r])
+    d_pre = np.zeros((T, B, 3 * h), dtype=d_states.dtype)  # gate pre-activation gradients
+    carry = np.zeros((B, h), dtype=d_states.dtype)
+    for t in reversed(order):
+        g = carry + d_states[t]
+        keep = valid[t][:, None]
+        d_new = np.where(keep, g, 0.0)
+        carry = np.where(keep, 0.0, g)  # a frozen pad step hands its gradient straight back
+        zt, rt, ht, pt = z[t], r[t], h_cand[t], prev[t]
+        d_h = d_new * zt * (1.0 - ht * ht)
+        d_rp = d_h @ U_h
+        d_pre[t, :, :h] = d_new * (ht - pt) * zt * (1.0 - zt)
+        d_pre[t, :, h:2 * h] = d_rp * pt * rt * (1.0 - rt)
+        d_pre[t, :, 2 * h:] = d_h
+        carry += d_new * (1.0 - zt) + d_rp * rt + d_pre[t, :, :2 * h] @ u_zr
+    flat = d_pre.reshape(T * B, 3 * h)
+    d_W = (flat.T @ X.reshape(T * B, -1)).reshape(3, h, -1)
+    d_b = flat.sum(axis=0).reshape(3, h)
+    # U_z and U_r multiply the previous state, U_h multiplies r * previous
+    d_U = np.concatenate([flat[:, :2 * h].T @ prev.reshape(T * B, h),
+                          flat[:, 2 * h:].T @ (r * prev).reshape(T * B, h)]).reshape(3, h, h)
+    return tuple(grad for k in range(3) for grad in (d_W[k], d_U[k], d_b[k]))
+
+
+def bigru(X: np.ndarray, valid: np.ndarray, params: EncoderParams) -> Tensor:
+    """bigru_forward's (B, 2h) pooled rows at params, recorded as one tape
+    node over the 18 parameter tensors.  X and valid are pad_batch's
+    output; the word vectors get no gradient."""
+    tensors = params.tensors()
+    weights = [t.values for t in tensors]
+    states, pooled, gates = bigru_forward(X, valid, [w[None] for w in weights[:9]],
+                                          [w[None] for w in weights[9:]])
+    states = states[0]
+    T, h = len(valid), params.hidden
+
+    def back(g):
+        # each pooled entry's gradient goes to its argmax step; pads never
+        # win, and ties go to the earliest step, as in maxpool_time
+        arg = np.where(valid[:, :, None], states, NEG_SENTINEL).argmax(axis=0)
+        d_states = np.zeros(states.shape, dtype=np.result_type(states, g))
+        np.put_along_axis(d_states, arg[None], g[None], axis=0)
+        return (_gru_scan_grads(X, valid, weights[:9], range(T),
+                                states[..., :h], gates[0][0], d_states[..., :h])
+                + _gru_scan_grads(X, valid, weights[9:], range(T - 1, -1, -1),
+                                  states[..., h:], gates[1][0], d_states[..., h:]))
+
+    return nx._emit(pooled[0], tensors, back)
+
+
+def encode_batch(sentences, table: EmbeddingTable, params: EncoderParams,
+                 dropout: Dropout = INFERENCE) -> Tensor:
+    """(B, output_dim) matrix of the sentences' vectors; under dropout each
+    row gets its own derived mask."""
+    X, valid = pad_batch(sentences, table, params.dtype)
+    pooled = bigru(X, valid, params)
+    if not np.isfinite(pooled.values).all():
+        raise ValueError("non-finite sentence vectors in batch")
+    return dropout.apply(pooled)
+
+
+def encode(tokens, table: EmbeddingTable, params: EncoderParams,
+           dropout: Dropout = INFERENCE) -> Tensor:
+    """Sentence vector of length params.output_dim for one token sequence:
+    the row of a one-row encode_batch."""
+    if len(tokens) == 0:
+        raise ValueError("cannot encode an empty sentence")
+    return nx.gather_rows(encode_batch([tokens], table, params, dropout), 0)
 
 
 def derive_seed(base: int, *parts) -> int:

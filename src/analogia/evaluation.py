@@ -143,15 +143,31 @@ def _skip_reason(question, prototypes) -> str | None:
     return None
 
 
+def _encode_once(encode_fn, memo: dict):
+    """encode_fn called at most once per distinct token tuple; ``memo``
+    keeps its vectors by token tuple."""
+    def encode(tokens):
+        key = tuple(tokens)
+        vec = memo.get(key)
+        if vec is None:
+            vec = memo[key] = encode_fn(tokens)
+        return vec
+    return encode
+
+
 def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype]],
-             mode: str = ENERGY_MODE, eps: float = 1e-8) -> EvaluationResult:
+             mode: str = ENERGY_MODE, eps: float = 1e-8, memo: dict | None = None) -> EvaluationResult:
     """Rank every scorable question's candidates against its same-type
     prototypes and aggregate MRR/MAP per subset.
 
     encode_fn maps a token sequence to a fixed-length numpy vector; both
     the learned encoder and the mean-embedding baseline plug in here, so
-    the ranking logic downstream is byte-for-byte shared.
+    the ranking logic downstream is byte-for-byte shared.  It is called
+    once per distinct sentence; ``memo``, a dict from token tuples to
+    encode_fn's vectors, carries those across calls with the same
+    encode_fn.
     """
+    encode_fn = _encode_once(encode_fn, {} if memo is None else memo)
     proto_vecs: dict[str, list] = {}
     for wh, protos in prototypes.items():
         proto_vecs[wh] = [(encode_fn(pr.question), encode_fn(pr.answer)) for pr in protos]
@@ -238,19 +254,21 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
                      p_values, seed: int, mode: str = ENERGY_MODE,
                      eps: float = 1e-8) -> SweepResult:
     """Evaluate once per requested prototype count, re-selecting with the
-    same seed (so smaller sets are prefixes of larger ones)."""
+    same seed (so smaller sets are prefixes of larger ones); each distinct
+    sentence is encoded once across all counts."""
     p_values = list(p_values)
     if not p_values:
         raise ValueError("p_values must be non-empty")
     rows = []
     warnings = []
+    memo: dict = {}
     for p in p_values:
         prototypes = select_prototypes(proto_dataset, p, seed)
         for wh in WH_TYPES:
             got = len(prototypes[wh])
             if got < p:
                 warnings.append(f"p={p}: only {got} answerable {wh} questions available")
-        result = evaluate(encode_fn, eval_dataset, prototypes, mode=mode, eps=eps)
+        result = evaluate(encode_fn, eval_dataset, prototypes, mode=mode, eps=eps, memo=memo)
         combined = result.report.row("Combined")
         rows.append(SweepRow(p=p, map=combined.map, mrr=combined.mrr))
     return SweepResult(rows=tuple(rows), warnings=tuple(warnings))

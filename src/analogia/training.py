@@ -19,7 +19,7 @@ import numpy as np
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
 from .encoder import Dropout, EncoderParams, derive_seed, encode_batch
 from .fsio import atomic_write_bytes, atomic_write_text
-from .numerics import GradTape, Tensor
+from .numerics import GradTape, Tensor, gather_rows
 from .quadgen import Prototype, generate_training_quadruples
 from .text_data import ConfigError, EmbeddingTable, ParseError, QADataset
 
@@ -143,12 +143,22 @@ def loss_log_to_tsv(log) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _distinct_sentences(chunk):
+    """The chunk's a/b/c/d sentences without repeats, in first-seen order,
+    and for each role the index of each quadruple's sentence in that list."""
+    slots: dict = {}
+    rows = {role: np.array([slots.setdefault(getattr(q, role), len(slots)) for q in chunk])
+            for role in "abcd"}
+    return list(slots), rows
+
+
 def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Prototype]],
           table: EmbeddingTable) -> TrainResult:
     """Run the full optimization and return final weights plus the log.
 
-    Batches hold whole quadruples; the four sentence roles are encoded as
-    four separate padded batches, each with its own derived dropout seed.
+    Batches hold whole quadruples.  Each distinct sentence of a batch is
+    encoded once, in one padded batch over all four roles; each role then
+    gathers its rows and applies its own derived dropout mask.
     """
     quads = generate_training_quadruples(dataset, prototypes,
                                          negatives_per_positive=cfg.negatives_per_positive,
@@ -171,12 +181,13 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
             tensors = params.tensors()
             with GradTape() as tape:
                 tape.watch(*tensors)
+                sentences, rows = _distinct_sentences(chunk)
+                encoded = encode_batch(sentences, table, params)
                 groups = {}
                 for role in "abcd":
                     drop = Dropout(rate=cfg.dropout, training=True,
                                    seed=derive_seed(cfg.seed, "dropout", epoch, batch_idx, role))
-                    groups[role] = encode_batch([getattr(q, role) for q in chunk],
-                                                table, params, dropout=drop)
+                    groups[role] = drop.apply(gather_rows(encoded, rows[role]))
                 batch = EncodedBatch(f_qp=groups["a"], f_ap=groups["b"],
                                      f_qi=groups["c"], f_ai=groups["d"],
                                      labels=np.array([q.y for q in chunk]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from analogia import diagnostics as dg
-from analogia import numerics as nx
+from analogia import encoder
 from analogia.analogy_core import HyperParams
 from analogia.encoder import derive_seed
 
@@ -35,29 +35,19 @@ def test_kernel_loss_equals_tape_loss(variant, y, dtype, rtol):
 
 
 def test_audit_catches_a_wrong_gradient(monkeypatch):
-    """Scaling blend's z-gradient by 1.001 must push the float64 audit past
+    """Scaling the update-gate gradients of the BiGRU node's
+    backpropagation through time by 1.001 must push the float64 audit past
     its tolerance; the forward values, and so the numeric side, are
     untouched."""
     clean = dg.full_pipeline_gradient_errors(3, seed=2, dtype=np.float64)
     assert clean.max() < dg.F64_TOLERANCE
 
-    blend = nx.blend
+    scan_grads = encoder._gru_scan_grads
 
-    def skewed_blend(z, a, b):
-        out = blend(z, a, b)
-        tape = nx._active_tape()
-        if tape is not None:
-            node = tape._nodes[-1]
-            assert node.output is out
-            backward = node.backward
+    def skewed_scan_grads(*args):
+        d_W_z, d_U_z, d_b_z, *rest = scan_grads(*args)
+        return (d_W_z * 1.001, d_U_z * 1.001, d_b_z * 1.001, *rest)
 
-            def skewed(g):
-                gz, ga, gb = backward(g)
-                return gz * 1.001, ga, gb
-
-            node.backward = skewed
-        return out
-
-    monkeypatch.setattr(nx, "blend", skewed_blend)
+    monkeypatch.setattr(encoder, "_gru_scan_grads", skewed_scan_grads)
     errors = dg.full_pipeline_gradient_errors(3, seed=2, dtype=np.float64)
     assert errors.max() > dg.F64_TOLERANCE

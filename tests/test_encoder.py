@@ -17,7 +17,6 @@ from analogia.encoder import (
     derive_seed,
     encode,
     encode_batch,
-    gru_cell,
     pad_batch,
     sentence_encoder,
 )
@@ -32,6 +31,16 @@ def _table(dim=3, seed=0, words=("alpha", "beta", "gamma", "delta")):
     rng = np.random.default_rng(seed)
     entries = {w: rng.normal(size=dim).astype(np.float32) for w in words}
     return EmbeddingTable(dim=dim, entries=entries, oov_seed=seed)
+
+
+def gru_cell(x_t, h_prev, w: GruWeights):
+    """One recurrence step on the tape, op by op: update gate z, reset gate
+    r, candidate state, convex blend with the previous state.  The oracle
+    the encoder's fused kernel is checked against."""
+    z = nx.sigmoid(nx.add(nx.add(nx.matmul(w.W_z, x_t), nx.matmul(w.U_z, h_prev)), w.b_z))
+    r = nx.sigmoid(nx.add(nx.add(nx.matmul(w.W_r, x_t), nx.matmul(w.U_r, h_prev)), w.b_r))
+    h_cand = nx.tanh(nx.add(nx.add(nx.matmul(w.W_h, x_t), nx.matmul(w.U_h, nx.hadamard(r, h_prev))), w.b_h))
+    return nx.blend(z, h_prev, h_cand)
 
 
 def _scalar_cell_oracle(x, h_prev, w):
@@ -339,7 +348,8 @@ def _points(*params_list):
 
 
 class TestBigruForward:
-    """The plain-numpy kernel against the tape path it mirrors."""
+    """The plain-numpy kernel: the tape node's rows, the op-by-op oracle's
+    states, independent parameter points."""
 
     SENTENCES = [
         ("alpha",),
@@ -354,7 +364,7 @@ class TestBigruForward:
         table = _table(dim=3, seed=4)
         params = EncoderParams.initialize(table.dim, 4, seed=21, dtype=dtype)
         X, valid = pad_batch(self.SENTENCES, table, dtype)
-        states, pooled = bigru_forward(X, valid, *_points(params))
+        states, pooled, _ = bigru_forward(X, valid, *_points(params))
         assert states.shape == (1, 5, 5, 8) and pooled.shape == (1, 5, 8)
         assert pooled.dtype == dtype
         tol = 8 * np.finfo(dtype).eps
@@ -368,7 +378,7 @@ class TestBigruForward:
         table = _table(dim=3, seed=4)
         params = EncoderParams.initialize(table.dim, 4, seed=21, dtype=dtype)
         X, valid = pad_batch(self.SENTENCES, table, dtype)
-        states, _ = bigru_forward(X, valid, *_points(params))
+        states, _, _ = bigru_forward(X, valid, *_points(params))
         tol = 8 * np.finfo(dtype).eps
         for i, sent in enumerate(self.SENTENCES):
             for weights, half, order in ((params.forward, slice(0, 4), range(len(sent))),
@@ -383,10 +393,101 @@ class TestBigruForward:
         table = _table(dim=3, seed=4)
         sets = [EncoderParams.initialize(table.dim, 2, seed=s, dtype=np.float64) for s in (1, 2, 3)]
         X, valid = pad_batch(self.SENTENCES, table, np.float64)
-        _, together = bigru_forward(X, valid, *_points(*sets))
+        _, together, _ = bigru_forward(X, valid, *_points(*sets))
         for k, params in enumerate(sets):
-            _, alone = bigru_forward(X, valid, *_points(params))
+            _, alone, _ = bigru_forward(X, valid, *_points(params))
             np.testing.assert_allclose(together[k], alone[0], rtol=1e-15, atol=1e-15)
+
+
+def _cell_graph_rows(sentences, table, params):
+    """Each sentence's pooled vector built op by op on the tape from
+    gru_cell, concat, stack_rows and maxpool_time: the graph the fused node
+    replaces."""
+    dtype, h = params.dtype, params.hidden
+    rows = []
+    for sent in sentences:
+        xs = [nx.tensor(table.lookup(tok), dtype=dtype) for tok in sent]
+        fwd, state = [], nx.zeros((h,), dtype=dtype)
+        for x in xs:
+            state = gru_cell(x, state, params.forward)
+            fwd.append(state)
+        bwd, state = [None] * len(xs), nx.zeros((h,), dtype=dtype)
+        for t in range(len(xs) - 1, -1, -1):
+            state = gru_cell(xs[t], state, params.backward)
+            bwd[t] = state
+        rows.append(nx.maxpool_time(nx.stack_rows([nx.concat([f, b]) for f, b in zip(fwd, bwd)])))
+    return rows
+
+
+class TestBigruNode:
+    """The fused tape node: one node per batch, its backpropagation
+    through time against finite differences and the op-by-op graph."""
+
+    SENTENCES = [
+        ("beta", "gamma", "alpha", "delta", "beta"),
+        ("alpha",),
+        ("gamma", "gamma"),
+        ("delta", "alpha", "beta"),
+    ]
+
+    @staticmethod
+    def _weighted_sum(sentences, table, params, seed=0):
+        """Scalar sum of the pooled rows times fixed random weights; every
+        tensor is cast to the widest dtype among them, as the numeric side
+        of finite_difference_check hands over one float64 tensor at a
+        time."""
+        weights = np.random.default_rng(seed).normal(size=(len(sentences), params.output_dim))
+
+        def f(tensors):
+            dt = np.result_type(*[t.dtype for t in tensors])
+            p = params.with_tensors([t if t.dtype == dt else nx.tensor(t.values, dtype=dt)
+                                     for t in tensors])
+            out = encode_batch(sentences, table, p)
+            return nx.sum_all(nx.hadamard(out, nx.tensor(weights, dtype=out.dtype)))
+
+        return f
+
+    def test_one_node_per_batch(self):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=5)
+        with nx.GradTape() as tape:
+            tape.watch(*params.tensors())
+            encode_batch(self.SENTENCES, table, params)
+        assert len(tape._nodes) == 1
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, F32_TOL), (np.float64, F64_TOL)])
+    def test_all_tensors_pass_finite_differences(self, dtype, tol):
+        """All 18 tensors at once, on a padded batch of lengths 5, 1, 2, 3."""
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=13, dtype=dtype)
+        f = self._weighted_sum(self.SENTENCES, table, params)
+        err = nx.finite_difference_check(f, params.tensors(), eps=1e-4 if dtype == np.float32 else 1e-5)
+        assert err < tol
+
+    @pytest.mark.parametrize("zero_weights", [False, True])
+    def test_gradients_equal_op_by_op_graph(self, zero_weights):
+        """The hand-written backward pass gives the op-by-op graph's
+        gradients.  All-zero weights make every state zero, so every pooled
+        column ties across all steps: the gradient must take the earliest
+        step, as maxpool_time does."""
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=8, dtype=np.float64)
+        if zero_weights:
+            params = params.with_tensors([nx.zeros(t.shape, dtype=np.float64) for t in params.tensors()])
+        weights = nx.tensor(np.random.default_rng(1).normal(size=(4, 6)), dtype=np.float64)
+        grads = []
+        for fused in (True, False):
+            with nx.GradTape() as tape:
+                tape.watch(*params.tensors())
+                if fused:
+                    out = encode_batch(self.SENTENCES, table, params)
+                else:
+                    out = nx.stack_rows(_cell_graph_rows(self.SENTENCES, table, params))
+                loss = nx.sum_all(nx.hadamard(out, weights))
+            grad_map = tape.gradient(loss)
+            grads.append([grad_map[t] for t in params.tensors()])
+        for k, (got, want) in enumerate(zip(*grads)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=f"tensor {k}")
 
 
 class TestEncoderGradients:

@@ -365,6 +365,50 @@ class TestSweep:
             sweep_prototypes(mean_embedding_encoder(table), ds, ds, [], seed=0)
 
 
+class _Forgetful(dict):
+    """A memo that keeps nothing, so evaluate calls encode_fn every time."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _counting(encode_fn):
+    calls = []
+
+    def fn(tokens):
+        calls.append(tuple(tokens))
+        return encode_fn(tokens)
+
+    return fn, calls
+
+
+class TestEncodeOnce:
+    def test_evaluate_encodes_each_distinct_sentence_once(self):
+        table, ds, protos = _toy_world()
+        fn, calls = _counting(mean_embedding_encoder(table))
+        once = evaluate(fn, ds, protos)
+        fn, every_call = _counting(mean_embedding_encoder(table))
+        plain = evaluate(fn, ds, protos, memo=_Forgetful())
+        assert len(every_call) > len(set(every_call))  # the toy world repeats sentences
+        assert sorted(calls) == sorted(set(every_call))
+        assert once.report.to_tsv() == plain.report.to_tsv()
+        assert once.rankings == plain.rankings
+
+    def test_sweep_encodes_each_distinct_sentence_once_across_p(self):
+        table, ds = TestSweep()._world()
+        p_values = [1, 2, 3]
+        fn, calls = _counting(mean_embedding_encoder(table))
+        res = sweep_prototypes(fn, ds, ds, p_values, seed=0)
+        every_call = []
+        for p, row in zip(p_values, res.rows):
+            fn, per_p = _counting(mean_embedding_encoder(table))
+            plain = evaluate(fn, ds, select_prototypes(ds, p, 0), memo=_Forgetful())
+            every_call += per_p
+            combined = plain.report.row("Combined")
+            assert (row.map, row.mrr) == (combined.map, combined.mrr)
+        assert sorted(calls) == sorted(set(every_call))
+
+
 class TestRankTsv:
     def test_layout(self):
         table, ds, protos = _toy_world()

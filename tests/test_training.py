@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from analogia.encoder import EncoderParams, derive_seed
-from analogia.numerics import Tensor
-from analogia.quadgen import Prototype, select_prototypes
+from analogia import training
+from analogia.encoder import Dropout, EncoderParams, derive_seed
+from analogia.numerics import GradTape, Tensor, _active_tape
+from analogia.quadgen import Prototype, generate_training_quadruples, select_prototypes
 from analogia.text_data import Candidate, ConfigError, EmbeddingTable, ParseError, QADataset, Question, classify_question, tokenize
 from analogia.training import (
     AdamState,
@@ -220,6 +221,88 @@ class TestTrain:
             assert int(epoch) == i
             assert float(loss) >= 0.0
             assert int(degen) >= 0
+
+
+class TestTrainingStep:
+    """Each step encodes the batch's distinct sentences in one call, gathers
+    each role's rows, then applies that role's own dropout mask."""
+
+    CFG = TrainConfig(epochs=2, batch_size=16, dim=8, seed=3, dropout=0.5)
+
+    def _run(self, monkeypatch):
+        """Train CFG on the toy world, recording per step the encoded
+        sentences and matrix, the tape size when batch_loss starts, the
+        tape size at gradient time, and the batch handed to batch_loss."""
+        ds, table, protos = _toy_world()
+        steps = []
+        encode_batch, batch_loss = training.encode_batch, training.batch_loss
+
+        class RecordingTape(GradTape):
+            def gradient(self, loss):
+                steps[-1]["nodes"] = len(self._nodes)
+                return super().gradient(loss)
+
+        def recording_encode_batch(sentences, *args, **kwargs):
+            out = encode_batch(sentences, *args, **kwargs)
+            steps.append({"sentences": list(sentences), "encoded": out.values})
+            return out
+
+        def recording_batch_loss(batch, *args, **kwargs):
+            steps[-1]["encoder_nodes"] = len(_active_tape()._nodes)
+            steps[-1]["batch"] = batch
+            return batch_loss(batch, *args, **kwargs)
+
+        monkeypatch.setattr(training, "GradTape", RecordingTape)
+        monkeypatch.setattr(training, "encode_batch", recording_encode_batch)
+        monkeypatch.setattr(training, "batch_loss", recording_batch_loss)
+        res = train(self.CFG, ds, protos, table)
+        return steps, res, ds, protos
+
+    def test_one_encoder_call_and_few_tape_nodes_per_step(self, monkeypatch):
+        steps, res, _, _ = self._run(monkeypatch)
+        batches = -(-res.quadruple_count // self.CFG.batch_size)
+        assert len(steps) == self.CFG.epochs * batches
+        for step in steps:
+            assert len(set(step["sentences"])) == len(step["sentences"])
+            assert step["encoder_nodes"] <= 9
+            assert step["nodes"] <= 30
+        # prototype sentences repeat, so some step encodes fewer rows than 4B
+        assert any(len(step["sentences"]) < 4 * step["batch"].size for step in steps)
+
+    def test_role_rows_carry_the_per_role_masks(self, monkeypatch):
+        """Row i of role r is the encoding of quadruple i's r sentence times
+        the mask Dropout derives from (seed, epoch, batch offset, role) for
+        the (B, d) shape."""
+        steps, res, ds, protos = self._run(monkeypatch)
+        cfg = self.CFG
+        quads = generate_training_quadruples(ds, protos, negatives_per_positive=cfg.negatives_per_positive,
+                                             seed=derive_seed(cfg.seed, "quadruples"))
+        step = iter(steps)
+        for epoch in range(1, cfg.epochs + 1):
+            order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(len(quads))
+            for batch_idx in range(0, len(order), cfg.batch_size):
+                chunk = [quads[i] for i in order[batch_idx:batch_idx + cfg.batch_size]]
+                rec = next(step)
+                for role, got in zip("abcd", (rec["batch"].f_qp, rec["batch"].f_ap,
+                                              rec["batch"].f_qi, rec["batch"].f_ai)):
+                    rows = [rec["sentences"].index(getattr(q, role)) for q in chunk]
+                    mask = Dropout(rate=cfg.dropout, training=True,
+                                   seed=derive_seed(cfg.seed, "dropout", epoch, batch_idx, role)
+                                   ).mask((len(chunk), cfg.dim))
+                    want = rec["encoded"][rows] * mask.astype(np.float32)
+                    np.testing.assert_array_equal(got.values, want)
+        assert next(step, None) is None
+
+    def test_seeded_runs_bit_identical_with_repeated_sentences(self):
+        """One step per epoch over the whole toy set, where prototype and
+        question sentences repeat across many quadruples."""
+        ds, table, protos = _toy_world()
+        cfg = TrainConfig(epochs=3, batch_size=64, dim=8, seed=12, dropout=0.5)
+        r1 = train(cfg, ds, protos, table)
+        r2 = train(cfg, ds, protos, table)
+        assert loss_log_to_tsv(r1.loss_log) == loss_log_to_tsv(r2.loss_log)
+        for t1, t2 in zip(r1.params.tensors(), r2.params.tensors()):
+            np.testing.assert_array_equal(t1.values, t2.values)
 
 
 class TestCheckpoint:
