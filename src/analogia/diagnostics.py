@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics as nx
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
-from .encoder import EncoderParams, bigru_forward, derive_seed, encode_batch, pad_batch
+from .encoder import EncoderParams, bigru_forward, derive_seed, encode_batch, pack_batch
 from .numerics import finite_difference_check
 from .text_data import EmbeddingTable
 
@@ -51,7 +51,7 @@ def _random_instance(rng, dtype):
 
 
 def _loss(table, sentences, params, y, hp):
-    """One padded 4-row encoding, rows gathered into the quadruple slots."""
+    """One 4-row encoding, rows gathered into the quadruple slots."""
     stacked = encode_batch(sentences, table, params)
     rows = {role: nx.gather_rows(stacked, [i]) for i, role in enumerate(_ROLES)}
     batch = EncodedBatch(labels=np.array([y]), **rows)
@@ -82,10 +82,10 @@ def _loss_values(pooled: np.ndarray, y: int, hp: HyperParams, params) -> np.ndar
 def _numeric_losses(table, sentences, y, hp):
     """Loss at many parameter points in one float64 kernel pass; takes and
     returns what finite_difference_check hands its batch_f."""
-    X, valid = pad_batch(sentences, table, np.float64)
+    packed = pack_batch(sentences, table, np.float64)
 
     def losses(params):
-        _, pooled, _ = bigru_forward(X, valid, params[:9], params[9:])
+        _, pooled, _ = bigru_forward(packed, params[:9], params[9:])
         return _loss_values(pooled, y, hp, params)
 
     return losses
@@ -95,9 +95,9 @@ def _acceptable(table, sentences, params, y, hp) -> bool:
     result = _loss(table, sentences, params, y, hp)
     if result.degenerate_count:
         return False
-    X, valid = pad_batch(sentences, table, params.dtype)
+    packed = pack_batch(sentences, table, params.dtype)
     weights = [t.values[None] for t in params.tensors()]
-    states, pooled, _ = bigru_forward(X, valid, weights[:9], weights[9:])
+    states, pooled, _ = bigru_forward(packed, weights[:9], weights[9:])
     stacked = pooled[0].astype(np.float64)
     u = stacked[0] - stacked[1]
     v = stacked[2] - stacked[3]
@@ -109,7 +109,7 @@ def _acceptable(table, sentences, params, y, hp) -> bool:
     # no max-pool column may have its top two time steps nearly tied
     for i, s in enumerate(sentences):
         if len(s) >= 2:
-            top = np.sort(states[0, :len(s), i].astype(np.float64), axis=0)
+            top = np.sort(states[0, packed.steps(i)].astype(np.float64), axis=0)
             if np.min(top[-1] - top[-2]) < _MIN_POOL_GAP:
                 return False
     return True

@@ -21,10 +21,6 @@ from scipy.special import expit
 
 DEFAULT_DTYPE = np.float32
 
-# Pad-masking constant used by callers: large, finite, and far below any
-# value a bounded activation can produce, so masked entries never win a max.
-NEG_SENTINEL = -1e30
-
 
 class ShapeError(ValueError):
     """Operand shapes do not conform for the requested op."""

@@ -79,18 +79,23 @@ class EmbeddingTable:
 
     Unknown tokens hash (oov_seed, token bytes) into a generator seed and
     draw a uniform [-0.1, 0.1] vector, so repeated lookups agree across
-    processes without storing anything.
+    processes.  Each table draws a token's vector once and hands out the
+    same read-only array after that.
     """
 
     dim: int
     entries: dict[str, np.ndarray] = field(repr=False)
     oov_seed: int = 0
+    _oov: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lookup(self, token: str) -> np.ndarray:
         vec = self.entries.get(token)
         if vec is not None:
             return vec
-        return self._oov_vector(token)
+        vec = self._oov.get(token)
+        if vec is None:
+            vec = self._oov[token] = self._oov_vector(token)
+        return vec
 
     def _oov_vector(self, token: str) -> np.ndarray:
         h = hashlib.blake2b(digest_size=8)
@@ -98,7 +103,9 @@ class EmbeddingTable:
         h.update(b"\x00")
         h.update(token.encode("utf-8"))
         rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
-        return rng.uniform(-0.1, 0.1, size=self.dim).astype(np.float32)
+        vec = rng.uniform(-0.1, 0.1, size=self.dim).astype(np.float32)
+        vec.setflags(write=False)
+        return vec
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries

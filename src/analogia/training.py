@@ -157,7 +157,7 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
     """Run the full optimization and return final weights plus the log.
 
     Batches hold whole quadruples.  Each distinct sentence of a batch is
-    encoded once, in one padded batch over all four roles; each role then
+    encoded once, in one packed batch over all four roles; each role then
     gathers its rows and applies its own derived dropout mask.
     """
     quads = generate_training_quadruples(dataset, prototypes,
@@ -286,6 +286,8 @@ def load_checkpoint(directory):
             if end > len(blob):
                 raise ParseError(f"{manifest_path}: line {lineno}: tensor {name} exceeds weights file")
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise ParseError(f"{weights_path}: tensor {name} has non-finite values")
             entries[name] = Tensor(arr.astype(np.float32))
 
     template = EncoderParams.initialize(input_dim=input_dim, hidden=hidden, seed=0)

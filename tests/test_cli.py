@@ -7,6 +7,7 @@ subprocess test confirms the installed console script is wired up.
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -124,6 +125,22 @@ class TestDataErrors:
                                    "--data", str(corpus_dir / "heldout.tsv"),
                                    "--embeddings", str(corpus_dir / "vectors.vec")])
         assert rc == 2
+        assert "weights.bin" in err
+
+    def test_non_finite_checkpoint_weight(self, capsys, checkpoint, corpus_dir, tmp_path):
+        """One float of a saved tensor set to NaN: eval refuses the
+        checkpoint with status 2, naming the tensor and weights.bin."""
+        broken = tmp_path / "nan"
+        shutil.copytree(checkpoint, broken)
+        name, _, offset = (broken / "manifest.txt").read_text().splitlines()[4].split("\t")
+        with open(broken / "weights.bin", "r+b") as fh:
+            fh.seek(int(offset) + 4)
+            fh.write(struct.pack("<f", float("nan")))
+        rc, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
+                                   "--data", str(corpus_dir / "heldout.tsv"),
+                                   "--embeddings", str(corpus_dir / "vectors.vec")])
+        assert rc == 2
+        assert f"tensor {name} has non-finite values" in err
         assert "weights.bin" in err
 
     def test_bad_env_seed(self, capsys, corpus_dir, monkeypatch):

@@ -17,7 +17,7 @@ from analogia.encoder import (
     derive_seed,
     encode,
     encode_batch,
-    pad_batch,
+    pack_batch,
     sentence_encoder,
 )
 from analogia.numerics import ShapeError
@@ -363,9 +363,9 @@ class TestBigruForward:
     def test_pooled_matches_encode_batch(self, dtype):
         table = _table(dim=3, seed=4)
         params = EncoderParams.initialize(table.dim, 4, seed=21, dtype=dtype)
-        X, valid = pad_batch(self.SENTENCES, table, dtype)
-        states, pooled, _ = bigru_forward(X, valid, *_points(params))
-        assert states.shape == (1, 5, 5, 8) and pooled.shape == (1, 5, 8)
+        packed = pack_batch(self.SENTENCES, table, dtype)
+        states, pooled, _ = bigru_forward(packed, *_points(params))
+        assert states.shape == (1, 16, 8) and pooled.shape == (1, 5, 8)
         assert pooled.dtype == dtype
         tol = 8 * np.finfo(dtype).eps
         np.testing.assert_allclose(pooled[0], encode_batch(self.SENTENCES, table, params).values,
@@ -377,8 +377,8 @@ class TestBigruForward:
         per-sentence scan from a zero state reaches."""
         table = _table(dim=3, seed=4)
         params = EncoderParams.initialize(table.dim, 4, seed=21, dtype=dtype)
-        X, valid = pad_batch(self.SENTENCES, table, dtype)
-        states, _, _ = bigru_forward(X, valid, *_points(params))
+        packed = pack_batch(self.SENTENCES, table, dtype)
+        states, _, _ = bigru_forward(packed, *_points(params))
         tol = 8 * np.finfo(dtype).eps
         for i, sent in enumerate(self.SENTENCES):
             for weights, half, order in ((params.forward, slice(0, 4), range(len(sent))),
@@ -386,16 +386,17 @@ class TestBigruForward:
                 h = nx.zeros((4,), dtype=dtype)
                 for t in order:
                     h = gru_cell(nx.tensor(table.lookup(sent[t]), dtype=dtype), h, weights)
-                    np.testing.assert_allclose(states[0, t, i, half], h.values, rtol=tol, atol=tol)
+                    np.testing.assert_allclose(states[0, packed.steps(i)[t], half], h.values,
+                                               rtol=tol, atol=tol)
 
     def test_point_axis_is_independent(self):
         """Several parameter sets in one call give each set's own result."""
         table = _table(dim=3, seed=4)
         sets = [EncoderParams.initialize(table.dim, 2, seed=s, dtype=np.float64) for s in (1, 2, 3)]
-        X, valid = pad_batch(self.SENTENCES, table, np.float64)
-        _, together, _ = bigru_forward(X, valid, *_points(*sets))
+        packed = pack_batch(self.SENTENCES, table, np.float64)
+        _, together, _ = bigru_forward(packed, *_points(*sets))
         for k, params in enumerate(sets):
-            _, alone, _ = bigru_forward(X, valid, *_points(params))
+            _, alone, _ = bigru_forward(packed, *_points(params))
             np.testing.assert_allclose(together[k], alone[0], rtol=1e-15, atol=1e-15)
 
 
@@ -488,6 +489,69 @@ class TestBigruNode:
             grads.append([grad_map[t] for t in params.tensors()])
         for k, (got, want) in enumerate(zip(*grads)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=f"tensor {k}")
+
+
+class TestPackedBatch:
+    """The packed layout: only real tokens, active rows a prefix at every
+    step, and the node's gradients on batches that stress the packing."""
+
+    BATCHES = {
+        "same-length": [("alpha", "beta", "gamma"), ("delta", "alpha", "beta"), ("gamma", "gamma", "delta")],
+        "tied-lengths-unsorted": [("alpha", "beta"), ("gamma", "delta", "alpha", "beta"), ("delta", "gamma"),
+                                  ("beta", "alpha", "gamma", "delta"), ("alpha", "alpha")],
+        "single-row": [("delta", "beta", "alpha", "gamma")],
+        "length-1-beside-long": [("alpha",), ("beta", "gamma", "delta", "alpha", "beta", "gamma", "delta"),
+                                 ("gamma",), ("delta", "alpha", "beta", "gamma", "alpha", "beta"), ("beta",)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_only_real_tokens_are_laid_out(self, name):
+        sentences = self.BATCHES[name]
+        table = _table()
+        packed = pack_batch(sentences, table, np.float64)
+        lengths = [len(s) for s in sentences]
+        assert sum(packed.sizes) == sum(lengths) == len(packed.X) == packed.offsets[-1]
+        assert np.all(np.diff(packed.sizes) <= 0)
+        assert len(packed.sizes) == max(lengths) and packed.sizes[0] == len(sentences)
+        # longest first, ties in input order
+        assert list(packed.order) == sorted(range(len(sentences)), key=lambda i: -lengths[i])
+        for i, sent in enumerate(sentences):
+            steps = packed.steps(i)
+            assert len(steps) == len(sent)
+            np.testing.assert_array_equal(packed.X[steps], [table.lookup(tok) for tok in sent])
+
+    def test_one_lookup_per_distinct_token(self, monkeypatch):
+        table = _table()
+        looked_up = []
+        lookup = EmbeddingTable.lookup
+
+        def counted(self, tok):
+            looked_up.append(tok)
+            return lookup(self, tok)
+
+        monkeypatch.setattr(EmbeddingTable, "lookup", counted)
+        sentences = self.BATCHES["length-1-beside-long"] + [("zzz", "alpha", "zzz")]
+        pack_batch(sentences, table, np.float32)
+        assert sorted(looked_up) == sorted({tok for s in sentences for tok in s})
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, F32_TOL), (np.float64, F64_TOL)])
+    def test_node_passes_finite_differences(self, name, dtype, tol):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=13, dtype=dtype)
+        f = TestBigruNode._weighted_sum(self.BATCHES[name], table, params)
+        err = nx.finite_difference_check(f, params.tensors(), eps=1e-4 if dtype == np.float32 else 1e-5)
+        assert err < tol
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_permuted_batch_gives_permuted_rows(self, name):
+        sentences = self.BATCHES[name]
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 4, seed=3)
+        perm = np.random.default_rng(1).permutation(len(sentences))
+        rows = encode_batch(sentences, table, params).values
+        permuted = encode_batch([sentences[k] for k in perm], table, params).values
+        np.testing.assert_allclose(permuted, rows[perm], rtol=1e-6)
 
 
 class TestEncoderGradients:

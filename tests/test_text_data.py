@@ -1,5 +1,7 @@
 """Tokenizer, embedding table, and QA dataset loader behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,30 @@ class TestOovLookup:
         t = self._table()
         seen = {tuple(np.round(t.lookup(f"tok{i}"), 6)) for i in range(100)}
         assert len(seen) == 100
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40])
+    def test_vectors_equal_the_blake2b_draw(self, seed):
+        """The memoised vector is bit for bit the uniform draw from the
+        generator seeded by blake2b(oov_seed, 0x00, token)."""
+        t = self._table(seed)
+        for token in ("zzz", "unseen", "naïve", ""):
+            h = hashlib.blake2b(digest_size=8)
+            h.update(str(seed).encode("utf-8") + b"\x00" + token.encode("utf-8"))
+            rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
+            want = rng.uniform(-0.1, 0.1, size=4).astype(np.float32)
+            got = t.lookup(token)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
+    def test_second_lookup_returns_the_same_array(self):
+        t = self._table()
+        assert t.lookup("zzz") is t.lookup("zzz")
+        assert t.lookup("zzz") is not self._table().lookup("zzz")
+
+    def test_oov_vector_is_read_only(self):
+        vec = self._table().lookup("zzz")
+        with pytest.raises(ValueError):
+            vec[0] = 9.0
 
 
 class TestQaDatasetLoading:
