@@ -8,18 +8,21 @@ two competitors nearly tie (the argmax flips under perturbation).
 Everywhere else the loss is smooth and analytic gradients must match
 central differences tightly.
 
-Per instance, one tape gives the analytic gradients of all 18 encoder
-tensors, and one float64 pass of the plain-numpy BiGRU kernel evaluates
-the loss at every central-difference point.
+Per instance, one untaped pass of the plain-numpy BiGRU kernel decides
+whether a draw is acceptable, one tape gives the analytic gradient of the
+encoder's flat parameter buffer, and one float64 pass of the kernel
+evaluates the loss at every central-difference point of that buffer.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from . import numerics as nx
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
-from .encoder import EncoderParams, bigru_forward, derive_seed, encode_batch, pack_batch
+from .encoder import EncoderParams, Layout, bigru_forward, derive_seed, encode_batch, pack_batch
 from .numerics import finite_difference_check
 from .text_data import EmbeddingTable
 
@@ -55,13 +58,13 @@ def _loss(table, sentences, params, y, hp):
     stacked = encode_batch(sentences, table, params)
     rows = {role: nx.gather_rows(stacked, [i]) for i, role in enumerate(_ROLES)}
     batch = EncodedBatch(labels=np.array([y]), **rows)
-    return batch_loss(batch, hp, params=params.tensors())
+    return batch_loss(batch, hp, params=(params.flat,))
 
 
-def _loss_values(pooled: np.ndarray, y: int, hp: HyperParams, params) -> np.ndarray:
-    """The (P,) losses _loss computes, from (P, 4, d) pooled encodings and
-    the 18 parameter arrays with a leading point axis.  The arithmetic is
-    batch_loss's, term for term, on a one-quadruple batch."""
+def _energies(pooled: np.ndarray, hp: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    """The (P,) energies, 0 where degenerate, and the (P,) flags of points
+    whose two shift norms both reach cosine_epsilon, from (P, 4, d) pooled
+    encodings in their own dtype: batch_loss's arithmetic, term for term."""
     eps = hp.cosine_epsilon
     u = pooled[:, 0] - pooled[:, 1]
     v = pooled[:, 2] - pooled[:, 3]
@@ -69,42 +72,51 @@ def _loss_values(pooled: np.ndarray, y: int, hp: HyperParams, params) -> np.ndar
     sqv = (v * v).sum(axis=-1)
     e_raw = (u * v).sum(axis=-1) / np.sqrt(squ * sqv + eps ** 4)
     usable = (np.sqrt(squ) >= eps) & (np.sqrt(sqv) >= eps)
-    e = e_raw * usable
+    return e_raw * usable, usable
+
+
+def _loss_values(pooled: np.ndarray, y: int, hp: HyperParams, theta: np.ndarray) -> np.ndarray:
+    """The (P,) losses _loss computes, from (P, 4, d) pooled encodings and
+    the (P, F) flat parameter points.  The arithmetic is batch_loss's, term
+    for term, on a one-quadruple batch."""
+    e, _ = _energies(pooled, hp)
     shifted = e - hp.margin
     if hp.loss_variant == "hinge":
         shifted = np.maximum(shifted, 0.0)
     loss = (1.0 - y) * (shifted * shifted) + y * ((1.0 - e) * (1.0 - e))
     if hp.l2_lambda > 0:
-        loss = loss + hp.l2_lambda * sum(np.square(w).reshape(len(w), -1).sum(axis=1) for w in params)
+        loss = loss + hp.l2_lambda * np.square(theta).sum(axis=1)
     return loss
 
 
-def _numeric_losses(table, sentences, y, hp):
-    """Loss at many parameter points in one float64 kernel pass; takes and
-    returns what finite_difference_check hands its batch_f."""
+def _numeric_losses(table, sentences, lay: Layout, y, hp):
+    """Loss at many parameter points in one float64 kernel pass; takes the
+    (2N, F) points finite_difference_check hands its batch_f and returns
+    their losses."""
     packed = pack_batch(sentences, table, np.float64)
 
-    def losses(params):
-        _, pooled, _ = bigru_forward(packed, params[:9], params[9:])
-        return _loss_values(pooled, y, hp, params)
+    def losses(theta):
+        _, pooled, _ = bigru_forward(packed, lay.split(theta))
+        return _loss_values(pooled, y, hp, theta)
 
     return losses
 
 
 def _acceptable(table, sentences, params, y, hp) -> bool:
-    result = _loss(table, sentences, params, y, hp)
-    if result.degenerate_count:
-        return False
+    """Whether the instance is clear of every non-smoothness, judged from
+    one untaped kernel pass at params, in their dtype."""
     packed = pack_batch(sentences, table, params.dtype)
-    weights = [t.values[None] for t in params.tensors()]
-    states, pooled, _ = bigru_forward(packed, weights[:9], weights[9:])
+    states, pooled, _ = bigru_forward(packed, params.point_arrays)
+    energy, usable = _energies(pooled, hp)
+    if not usable[0]:
+        return False
     stacked = pooled[0].astype(np.float64)
     u = stacked[0] - stacked[1]
     v = stacked[2] - stacked[3]
     if min(np.linalg.norm(u), np.linalg.norm(v)) < _MIN_SHIFT_NORM:
         return False
     if hp.loss_variant == "hinge" and y == 0:
-        if abs(float(result.energies[0]) - hp.margin) < _MIN_HINGE_DISTANCE:
+        if abs(float(energy[0]) - hp.margin) < _MIN_HINGE_DISTANCE:
             return False
     # no max-pool column may have its top two time steps nearly tied
     for i, s in enumerate(sentences):
@@ -122,16 +134,16 @@ def _instance_error(seed: int, index: int, dtype) -> float:
         if _acceptable(table, sentences, params, y, hp):
             break
 
-    def loss_at(tensors):
-        return _loss(table, sentences, params.with_tensors(tensors), y, hp).loss
+    def loss_at(flat):
+        return _loss(table, sentences, replace(params, flat=flat), y, hp).loss
 
     # eps an order below the default: the f64 tolerance of 1e-7 leaves no
     # room for central-difference truncation error at 1e-4 steps.
-    return finite_difference_check(loss_at, params.tensors(), eps=1e-5,
-                                   batch_f=_numeric_losses(table, sentences, y, hp))
+    return finite_difference_check(loss_at, params.flat, eps=1e-5,
+                                   batch_f=_numeric_losses(table, sentences, params.layout, y, hp))
 
 
 def full_pipeline_gradient_errors(instances: int, seed: int, dtype=np.float32) -> np.ndarray:
     """Per-instance worst relative error between analytic and numeric
-    gradients, over all 18 encoder tensors of each instance."""
+    gradients, over every coordinate of each instance's parameter buffer."""
     return np.array([_instance_error(seed, k, dtype) for k in range(instances)])

@@ -26,13 +26,23 @@ rows in input order, whose backward pass is hand-written backpropagation
 through time over the same prefixes.  ``encode_batch`` is
 pack_batch, that node, then dropout, and ``encode`` is a one-row
 encode_batch, so training, inference and the audit share one forward pass.
+
+The 18 parameter tensors live in one flat buffer, ``EncoderParams.flat``,
+in checkpoint order; ``layout`` is the one place that says where each
+tensor sits, and splits a buffer with leading axes into the 18 arrays.
+The tape node's one input is that buffer and its backward pass returns one
+flat gradient, so the optimizer, the audit and the checkpoint files each
+handle a single vector.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,46 +86,70 @@ class Dropout:
 INFERENCE = Dropout()
 
 
-@dataclass(frozen=True)
-class GruWeights:
-    """One direction's parameters; W_* are (h, d_in), U_* are (h, h),
-    biases length h."""
+class Layout(NamedTuple):
+    """Where each encoder tensor sits in the flat parameter buffer: in
+    named() order, each tensor's entries in C order."""
 
-    W_z: Tensor
-    U_z: Tensor
-    b_z: Tensor
-    W_r: Tensor
-    U_r: Tensor
-    b_r: Tensor
-    W_h: Tensor
-    U_h: Tensor
-    b_h: Tensor
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]  # start of each tensor, then the buffer length
 
-    def tensors(self) -> tuple[Tensor, ...]:
-        return tuple(getattr(self, n) for n in GATE_NAMES)
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
 
-    def validate(self, hidden: int, input_dim: int) -> None:
-        # Runs on every rebuild, including once per finite-difference probe,
-        # so the happy path formats no strings.
-        want = {"W": (hidden, input_dim), "U": (hidden, hidden), "b": (hidden,)}
-        for name in GATE_NAMES:
-            t = getattr(self, name)
-            if t.shape != want[name[0]]:
-                raise ShapeError(f"{name}: expected shape {want[name[0]]}, got {t.shape}")
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of a (..., size) array as the 18 tensors in named() order,
+        each keeping the leading axes."""
+        lead = flat.shape[:-1]
+        return tuple(flat[..., lo:hi].reshape(lead + shape)
+                     for shape, lo, hi in zip(self.shapes, self.offsets, self.offsets[1:]))
+
+    def name_at(self, k: int) -> str:
+        """Name of the tensor holding entry k of the buffer."""
+        return self.names[bisect.bisect_right(self.offsets, k) - 1]
+
+
+def layout(hidden: int, input_dim: int) -> Layout:
+    """The flat buffer's layout: forward then backward direction, each in
+    GATE_NAMES order, with W_* (hidden, input_dim), U_* (hidden, hidden)
+    and b_* (hidden,)."""
+    shape = {"W": (hidden, input_dim), "U": (hidden, hidden), "b": (hidden,)}
+    names = tuple(f"{direction}.{gate}" for direction in DIRECTIONS for gate in GATE_NAMES)
+    shapes = tuple(shape[gate[0]] for _ in DIRECTIONS for gate in GATE_NAMES)
+    return Layout(names, shapes, (0, *itertools.accumulate(math.prod(s) for s in shapes)))
 
 
 @dataclass(frozen=True)
 class EncoderParams:
-    forward: GruWeights
-    backward: GruWeights
+    """The encoder's 18 tensors as views of one flat buffer, ``flat``, laid
+    out by layout(hidden, input_dim).  The views are built once per
+    instance."""
+
+    flat: Tensor
     hidden: int
     input_dim: int
 
     def __post_init__(self):
         if self.hidden < 1 or self.input_dim < 1:
             raise ConfigError(f"hidden and input_dim must be positive, got {self.hidden}, {self.input_dim}")
-        self.forward.validate(self.hidden, self.input_dim)
-        self.backward.validate(self.hidden, self.input_dim)
+        if self.flat.shape != (self.layout.size,):
+            raise ShapeError(f"expected a flat buffer of {self.layout.size} values, got shape {self.flat.shape}")
+
+    @cached_property
+    def layout(self) -> Layout:
+        return layout(self.hidden, self.input_dim)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The 18 read-only tensor views, in named() order."""
+        return self.layout.split(self.flat.values)
+
+    @cached_property
+    def point_arrays(self) -> tuple[np.ndarray, ...]:
+        """The same views with a leading point axis of one, as
+        bigru_forward takes them."""
+        return self.layout.split(self.flat.values[None])
 
     @property
     def output_dim(self) -> int:
@@ -123,51 +157,27 @@ class EncoderParams:
 
     @property
     def dtype(self):
-        return self.forward.W_z.dtype
+        return self.flat.dtype
 
-    def named(self) -> tuple[tuple[str, Tensor], ...]:
-        """(name, tensor) pairs in the fixed checkpoint order."""
-        out = []
-        for direction in DIRECTIONS:
-            w = getattr(self, direction)
-            for gate in GATE_NAMES:
-                out.append((f"{direction}.{gate}", getattr(w, gate)))
-        return tuple(out)
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        # Same order as named(), without formatting 18 names per call.
-        return self.forward.tensors() + self.backward.tensors()
-
-    def with_tensors(self, tensors) -> "EncoderParams":
-        """Rebuild with replacement tensors in named() order."""
-        tensors = tuple(tensors)
-        if len(tensors) != 18:
-            raise ValueError(f"expected 18 tensors, got {len(tensors)}")
-        fwd = GruWeights(*tensors[:9])
-        bwd = GruWeights(*tensors[9:])
-        return EncoderParams(forward=fwd, backward=bwd, hidden=self.hidden, input_dim=self.input_dim)
+    def named(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(name, view) pairs in the fixed checkpoint order."""
+        return tuple(zip(self.layout.names, self.arrays))
 
     @classmethod
     def initialize(cls, input_dim: int, hidden: int, seed: int = 0, dtype=None) -> "EncoderParams":
         """Weights uniform in [-k, k] with k = 1/sqrt(hidden); zero biases.
 
-        Draw order is fixed (forward then backward, gates z, r, h), so a
-        seed pins every parameter bit.
+        Draw order is the buffer's (forward then backward, gates z, r, h),
+        so a seed pins every parameter bit.
         """
         if hidden < 1 or input_dim < 1:
             raise ConfigError(f"hidden and input_dim must be positive, got {hidden}, {input_dim}")
-        dtype = dtype or nx.DEFAULT_DTYPE
         k = 1.0 / np.sqrt(hidden)
         rng = np.random.default_rng(seed)
-        directions = []
-        for _ in DIRECTIONS:
-            parts = {}
-            for gate in "zrh":
-                parts[f"W_{gate}"] = nx.tensor(rng.uniform(-k, k, size=(hidden, input_dim)), dtype=dtype)
-                parts[f"U_{gate}"] = nx.tensor(rng.uniform(-k, k, size=(hidden, hidden)), dtype=dtype)
-                parts[f"b_{gate}"] = nx.tensor(np.zeros(hidden), dtype=dtype)
-            directions.append(GruWeights(**parts))
-        return cls(forward=directions[0], backward=directions[1], hidden=hidden, input_dim=input_dim)
+        parts = [np.zeros(shape) if len(shape) == 1 else rng.uniform(-k, k, size=shape)
+                 for shape in layout(hidden, input_dim).shapes]
+        flat = np.concatenate([p.ravel() for p in parts])
+        return cls(flat=nx.tensor(flat, dtype=dtype or nx.DEFAULT_DTYPE), hidden=hidden, input_dim=input_dim)
 
 
 class PackedBatch(NamedTuple):
@@ -278,13 +288,13 @@ def _max_pool_grads(packed: PackedBatch, states: np.ndarray, best: np.ndarray, g
     return d_states
 
 
-def bigru_forward(packed: PackedBatch, forward, backward):
+def bigru_forward(packed: PackedBatch, weights):
     """The BiGRU recurrence and max pooling as plain numpy, at P parameter
     points at once.
 
-    ``forward`` and ``backward`` are each nine arrays in GATE_NAMES order
-    carrying a leading point axis: (P, h, n) for W_*, (P, h, h) for U_*,
-    (P, h) for b_*.  Returns
+    ``weights`` is the 18 arrays in named() order carrying a leading point
+    axis, as Layout.split gives them for a (P, size) buffer: (P, h, n) for
+    W_*, (P, h, h) for U_*, (P, h) for b_*.  Returns
 
       - the (P, N, 2h) hidden states at the packed positions, forward then
         backward half;
@@ -293,8 +303,8 @@ def bigru_forward(packed: PackedBatch, forward, backward):
         each (P, N, 3h) holding z | r | h~.
     """
     T = len(packed.sizes)
-    fwd, fwd_gates = _gru_scan(packed, forward, range(T))
-    bwd, bwd_gates = _gru_scan(packed, backward, range(T - 1, -1, -1))
+    fwd, fwd_gates = _gru_scan(packed, weights[:9], range(T))
+    bwd, bwd_gates = _gru_scan(packed, weights[9:], range(T - 1, -1, -1))
     states = np.concatenate([fwd, bwd], axis=-1)
     pooled = np.empty((len(states), len(packed.order), states.shape[-1]), dtype=states.dtype)
     pooled[:, packed.order] = _max_pool(packed, states)
@@ -344,23 +354,21 @@ def _gru_scan_grads(packed: PackedBatch, w, order,
 
 def bigru(packed: PackedBatch, params: EncoderParams) -> Tensor:
     """bigru_forward's (B, 2h) pooled rows at params, recorded as one tape
-    node over the 18 parameter tensors; the word vectors get no
-    gradient."""
-    tensors = params.tensors()
-    weights = [t.values for t in tensors]
-    states, pooled, gates = bigru_forward(packed, [w[None] for w in weights[:9]],
-                                          [w[None] for w in weights[9:]])
+    node whose one input is the flat parameter buffer; the word vectors get
+    no gradient."""
+    states, pooled, gates = bigru_forward(packed, params.point_arrays)
     states, pooled = states[0], pooled[0]
-    T, h = len(packed.sizes), params.hidden
+    T, h, weights = len(packed.sizes), params.hidden, params.arrays
 
     def back(g):
         d_states = _max_pool_grads(packed, states, pooled[packed.order], g)
-        return (_gru_scan_grads(packed, weights[:9], range(T),
-                                states[:, :h], gates[0][0], d_states[:, :h])
-                + _gru_scan_grads(packed, weights[9:], range(T - 1, -1, -1),
-                                  states[:, h:], gates[1][0], d_states[:, h:]))
+        grads = (_gru_scan_grads(packed, weights[:9], range(T),
+                                 states[:, :h], gates[0][0], d_states[:, :h])
+                 + _gru_scan_grads(packed, weights[9:], range(T - 1, -1, -1),
+                                   states[:, h:], gates[1][0], d_states[:, h:]))
+        return (np.concatenate([d.ravel() for d in grads]),)
 
-    return nx._emit(pooled, tensors, back)
+    return nx._emit(pooled, (params.flat,), back)
 
 
 def encode_batch(sentences, table: EmbeddingTable, params: EncoderParams,

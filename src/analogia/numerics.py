@@ -14,10 +14,9 @@ it, and independent tapes on different threads do not interact.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 DEFAULT_DTYPE = np.float32
 
@@ -204,14 +203,6 @@ class GradTape:
             result[t] = np.zeros(t.shape, dtype=t.dtype) if g is None else np.asarray(g, dtype=t.dtype)
         return result
 
-    def _record(self, inputs, output, backward) -> None:
-        self._nodes.append(_Node(inputs, output, backward))
-
-
-def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Gradient map of a scalar loss over the tape's watched tensors."""
-    return tape.gradient(loss)
-
 
 def _emit(output_arr: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     # Body of Tensor._wrap plus the tape check, flattened: this runs once
@@ -324,10 +315,12 @@ def square(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
+    """Logistic function as (1 + tanh(x/2)) / 2, which cannot overflow."""
     if type(a) is not Tensor:
         _check_tensor("sigmoid", a)
-    out = expit(a.values).astype(a.dtype, copy=False)
+    out = np.tanh(a.values * 0.5)
+    out += 1.0
+    out *= 0.5
     return _emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -575,118 +568,62 @@ def blend(z: Tensor, a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (z, a, b), lambda g: ((g * bv) + (-(g * av)), g * omz, g * zv))
 
 
-_OPS: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "hadamard": hadamard,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "concat": concat,
-    "maxpool_time": maxpool_time,
-    "scale": scale,
-    "maximum": maximum,
-    "stack": stack_rows,
-    "sum": sum_all,
-    "sum_axis": sum_axis,
-    "sqrt": sqrt,
-    "div": div,
-    "relu": relu,
-    "transpose": transpose,
-    "affine2": affine2,
-    "blend": blend,
-    "sum_squares": sum_squares,
-}
-
-OP_KINDS = tuple(_OPS)
-
-
-def apply(op_kind: str, *inputs, **params) -> Tensor:
-    """Dispatch an op by name; the names in OP_KINDS are the full set."""
-    try:
-        fn = _OPS[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {op_kind!r}; known: {', '.join(OP_KINDS)}") from None
-    if op_kind in ("concat", "stack", "sum_squares"):
-        return fn(inputs, **params)
-    return fn(*inputs, **params)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
 
-def finite_difference_check(f: Callable, x: Tensor | Sequence[Tensor], eps: float = 1e-4,
+def finite_difference_check(f: Callable, x: Tensor, eps: float = 1e-4,
                             batch_f: Callable | None = None) -> float:
-    """Max relative error between tape gradients of f and central differences.
-
-    ``x`` is one Tensor, which f takes as its argument, or a sequence of
-    Tensors, which f takes as one tuple; the error is then the max over
-    every coordinate of every tensor, and a single tape watching all of
-    them gives the analytic side.
+    """Max relative error between tape gradients of f at x and central
+    differences.
 
     The analytic side runs at x's own dtype; the numeric side always runs in
     float64, since float32 differencing cannot resolve the tolerances this
     check is used to assert.  It has two paths, with the same arithmetic:
 
-      - without ``batch_f``, f is re-evaluated twice per coordinate, with
-        that one tensor swapped for a float64 copy perturbed by +-eps;
-      - with ``batch_f``, one call evaluates all 2N perturbed points of the
-        N coordinates.  It takes what f takes, but as float64 arrays with a
-        leading axis of 2N points: point k adds eps to coordinate k, point
-        N + k subtracts it, counting coordinates tensor by tensor in C
-        order and leaving every other coordinate at x.  It returns the 2N
-        values of f, computed in float64.
+      - without ``batch_f``, f is re-evaluated twice per coordinate, at a
+        float64 copy of x perturbed by +-eps;
+      - with ``batch_f``, one call evaluates all 2N perturbed points of x's
+        N coordinates.  It takes a float64 array of shape (2N,) + x.shape:
+        point k adds eps to coordinate k, counting in C order, point N + k
+        subtracts it, and every other coordinate stays at x.  It returns
+        the 2N values of f, computed in float64.
 
     Error per coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    single = isinstance(x, Tensor)
-    xs = (x,) if single else tuple(x)
-    if not xs:
-        raise ValueError("no tensors to check")
     with GradTape() as tape:
-        tape.watch(*xs)
-        y = f(x if single else xs)
+        tape.watch(x)
+        y = f(x)
     if not isinstance(y, Tensor) or y.ndim != 0:
         raise ValueError("f must return a rank-0 Tensor")
     if not np.isfinite(y.values):
         raise ValueError("f evaluated to a non-finite value at x")
-    grads = tape.gradient(y)
-    analytic = np.concatenate([grads[t].astype(np.float64).ravel() for t in xs])
+    analytic = tape.gradient(y)[x].astype(np.float64).ravel()
 
-    bases = [t.values.astype(np.float64) for t in xs]
-    offsets = np.cumsum([0] + [b.size for b in bases])
-    n = int(offsets[-1])
+    base = x.values.astype(np.float64)
+    n = base.size
 
     def locate(k: int) -> str:
-        i = int(np.searchsorted(offsets, k, side="right")) - 1
-        idx = np.unravel_index(k - offsets[i], bases[i].shape)
-        return f"coordinate {tuple(int(j) for j in idx)}" + ("" if single else f" of tensor {i}")
+        return f"coordinate {tuple(int(j) for j in np.unravel_index(k, base.shape))}"
 
     if batch_f is None:
         values = np.empty(2 * n)
-        for i, base in enumerate(bases):
-            for j in range(base.size):
-                k = int(offsets[i]) + j
-                for row, step in ((k, eps), (n + k, -eps)):
-                    moved = base.copy()
-                    moved.flat[j] += step
-                    t = Tensor(moved, dtype=np.float64)
-                    values[row] = f(t if single else xs[:i] + (t,) + xs[i + 1:]).item()
-                if not (np.isfinite(values[k]) and np.isfinite(values[n + k])):
-                    raise ValueError(f"f evaluated to a non-finite value near {locate(k)}")
+        for k in range(n):
+            for row, step in ((k, eps), (n + k, -eps)):
+                moved = base.copy()
+                moved.flat[k] += step
+                values[row] = f(Tensor(moved, dtype=np.float64)).item()
+            if not (np.isfinite(values[k]) and np.isfinite(values[n + k])):
+                raise ValueError(f"f evaluated to a non-finite value near {locate(k)}")
     else:
-        points = []
-        for base, start in zip(bases, offsets):
-            stack = np.repeat(base.reshape(1, -1), 2 * n, axis=0)
-            j = np.arange(base.size)
-            stack[start + j, j] += eps
-            stack[n + start + j, j] -= eps
-            points.append(stack.reshape((2 * n,) + base.shape))
-        values = np.asarray(batch_f(points[0] if single else tuple(points)), dtype=np.float64)
+        points = np.repeat(base.reshape(1, -1), 2 * n, axis=0)
+        k = np.arange(n)
+        points[k, k] += eps
+        points[n + k, k] -= eps
+        values = np.asarray(batch_f(points.reshape((2 * n,) + base.shape)), dtype=np.float64)
         if values.shape != (2 * n,):
             raise ValueError(f"batch_f must return {2 * n} values, got shape {values.shape}")
         bad = np.flatnonzero(~np.isfinite(values))

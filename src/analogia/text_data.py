@@ -111,10 +111,6 @@ class EmbeddingTable:
         return token in self.entries
 
 
-def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
-    return table.lookup(token)
-
-
 def _is_header(fields: list[str]) -> bool:
     if len(fields) != 2:
         return False

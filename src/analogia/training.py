@@ -3,8 +3,9 @@
 One run is a pure function of (config, dataset, prototypes, table): the
 seed pins quadruple generation, parameter init, epoch shuffles, and
 dropout masks, so two identical runs produce bit-identical loss logs and
-weights.  Word embeddings are read-only throughout; only the 18 encoder
-tensors train.
+weights.  Word embeddings are read-only throughout; only the encoder's
+flat parameter buffer trains, so the tape watches one tensor and Adam,
+decay and clipping are a few vector operations on one array.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
-from .encoder import Dropout, EncoderParams, derive_seed, encode_batch
+from .encoder import Dropout, EncoderParams, derive_seed, encode_batch, layout
 from .fsio import atomic_write_bytes, atomic_write_text
 from .numerics import GradTape, Tensor, gather_rows
 from .quadgen import Prototype, generate_training_quadruples
@@ -73,52 +74,42 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls(m=[np.zeros(p.shape, dtype=p.dtype) for p in params],
-                   v=[np.zeros(p.shape, dtype=p.dtype) for p in params], t=0)
+    def for_params(cls, theta) -> "AdamState":
+        return cls(m=np.zeros(theta.shape, dtype=theta.dtype),
+                   v=np.zeros(theta.shape, dtype=theta.dtype), t=0)
 
 
-def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
-    """Bias-corrected Adam update, then decoupled decay θ -= lr*wd*θ.
-
-    Returns replacement tensors; the caller rebuilds its parameter struct.
-    """
-    params = list(params)
-    grads = list(grads)
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state must align")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if np.asarray(g).shape != p.shape:
-            raise ValueError(f"grad {i} shape {np.asarray(g).shape} != param shape {p.shape}")
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient in parameter {i}")
+def adam_step(theta: Tensor, grad, state: AdamState, cfg: TrainConfig) -> Tensor:
+    """Bias-corrected Adam update, then decoupled decay θ -= lr*wd*θ, as
+    elementwise vector operations on one parameter array; returns the new
+    parameters."""
+    grad = np.asarray(grad)
+    if grad.shape != theta.shape:
+        raise ValueError(f"grad shape {grad.shape} != param shape {theta.shape}")
+    if not np.isfinite(grad).all():
+        raise TrainingError("non-finite gradient")
     state.t += 1
     t = state.t
-    out = []
-    decay = 1.0 - cfg.lr * cfg.weight_decay
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=p.dtype)
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        theta = p.values - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        theta = theta * decay
-        out.append(Tensor(theta, dtype=p.dtype))
-    return out
+    g = grad.astype(theta.dtype, copy=False)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
+    new = theta.values - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return Tensor(new * (1.0 - cfg.lr * cfg.weight_decay), dtype=theta.dtype)
 
 
-def _clip_gradients(grads, max_norm: float):
-    total = np.sqrt(sum(float((np.asarray(g, dtype=np.float64) ** 2).sum()) for g in grads))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return [g * scale for g in grads]
+def _clip_gradients(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    """grad scaled to norm max_norm when its norm is larger."""
+    total = float(np.sqrt(np.square(grad, dtype=np.float64).sum()))
+    if total <= max_norm:
+        return grad
+    return grad * (max_norm / total)
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
 
     params = EncoderParams.initialize(input_dim=table.dim, hidden=cfg.dim // 2,
                                       seed=derive_seed(cfg.seed, "init"))
-    state = AdamState.for_params(params.tensors())
+    state = AdamState.for_params(params.flat)
     log: list[EpochStats] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -178,9 +169,8 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
         for batch_idx in range(0, len(order), cfg.batch_size):
             chunk = [quads[i] for i in order[batch_idx:batch_idx + cfg.batch_size]]
             batch_id = f"epoch {epoch} batch {batch_idx // cfg.batch_size}"
-            tensors = params.tensors()
             with GradTape() as tape:
-                tape.watch(*tensors)
+                tape.watch(params.flat)
                 sentences, rows = _distinct_sentences(chunk)
                 encoded = encode_batch(sentences, table, params)
                 groups = {}
@@ -191,21 +181,20 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
                 batch = EncodedBatch(f_qp=groups["a"], f_ap=groups["b"],
                                      f_qi=groups["c"], f_ai=groups["d"],
                                      labels=np.array([q.y for q in chunk]))
-                result = batch_loss(batch, cfg.hp, params=tensors)
+                result = batch_loss(batch, cfg.hp, params=(params.flat,))
             loss_value = result.loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingError(
                     f"non-finite loss at {batch_id}; energies={result.energies.tolist()}")
             if result.degenerate_count == len(chunk):
                 warnings.warn(f"all {len(chunk)} quadruples degenerate at {batch_id}", RuntimeWarning)
-            grad_map = tape.gradient(result.loss)
-            grads = [grad_map[t] for t in tensors]
-            for i, g in enumerate(grads):
-                if not np.isfinite(g).all():
-                    raise TrainingError(f"non-finite gradient (parameter {i}) at {batch_id}")
+            grad = tape.gradient(result.loss)[params.flat]
+            bad = np.flatnonzero(~np.isfinite(grad))
+            if bad.size:
+                raise TrainingError(f"non-finite gradient in {params.layout.name_at(bad[0])} at {batch_id}")
             if cfg.clip_norm is not None:
-                grads = _clip_gradients(grads, cfg.clip_norm)
-            params = params.with_tensors(adam_step(tensors, grads, state, cfg))
+                grad = _clip_gradients(grad, cfg.clip_norm)
+            params = replace(params, flat=adam_step(params.flat, grad, state, cfg))
             loss_sum += loss_value * len(chunk)
             degenerate += result.degenerate_count
         log.append(EpochStats(epoch=epoch, mean_loss=loss_sum / len(quads),
@@ -225,19 +214,14 @@ def save_checkpoint(directory, params: EncoderParams, config: dict,
     """Write manifest.txt, weights.bin (little-endian float32 in manifest
     order), config.json, and prototypes.tsv into the directory."""
     os.makedirs(directory, exist_ok=True)
-    manifest_lines = []
-    blobs = []
-    offset = 0
-    for name, t in params.named():
-        raw = np.ascontiguousarray(t.values, dtype="<f4").tobytes()
-        shape = ",".join(str(s) for s in t.shape)
-        manifest_lines.append(f"{name}\t{shape}\t{offset}")
-        blobs.append(raw)
-        offset += len(raw)
+    lay = params.layout
+    manifest_lines = [f"{name}\t{','.join(str(n) for n in shape)}\t{4 * offset}"
+                      for name, shape, offset in zip(lay.names, lay.shapes, lay.offsets)]
     meta = dict(config)
     meta.setdefault("input_dim", params.input_dim)
     meta.setdefault("hidden", params.hidden)
-    atomic_write_bytes(os.path.join(directory, WEIGHTS_NAME), b"".join(blobs))
+    atomic_write_bytes(os.path.join(directory, WEIGHTS_NAME),
+                       np.ascontiguousarray(params.flat.values, dtype="<f4").tobytes())
     atomic_write_text(os.path.join(directory, MANIFEST_NAME),
                       "".join(line + "\n" for line in manifest_lines))
     atomic_write_text(os.path.join(directory, CONFIG_NAME),
@@ -268,34 +252,45 @@ def load_checkpoint(directory):
     except KeyError as exc:
         raise ParseError(f"{config_path}: missing key {exc}") from None
 
-    blob = open(weights_path, "rb").read()
-    entries = {}
+    with open(weights_path, "rb") as fh:
+        blob = fh.read()
+    lay = layout(hidden, input_dim)
+    want = dict(zip(lay.names, lay.shapes))
+    arrays = {}
     with open(manifest_path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
+            where = f"{manifest_path}: line {lineno}"
             cols = line.split("\t")
             if len(cols) != 3:
-                raise ParseError(f"{manifest_path}: line {lineno}: expected 3 columns")
+                raise ParseError(f"{where}: expected 3 columns")
             name, shape_str, offset_str = cols
-            shape = tuple(int(s) for s in shape_str.split(","))
-            offset = int(offset_str)
+            try:
+                shape = tuple(int(s) for s in shape_str.split(","))
+                offset = int(offset_str)
+            except ValueError:
+                raise ParseError(f"{where}: tensor {name}: shape {shape_str!r} and offset {offset_str!r} "
+                                 "must be integers") from None
+            if offset < 0 or min(shape) < 0:
+                raise ParseError(f"{where}: tensor {name}: negative shape or offset")
+            if name in want and shape != want[name]:
+                raise ParseError(f"{where}: tensor {name} has shape {shape}, but config.json's "
+                                 f"hidden={hidden}, input_dim={input_dim} need {want[name]}")
             count = int(np.prod(shape))
-            end = offset + 4 * count
-            if end > len(blob):
-                raise ParseError(f"{manifest_path}: line {lineno}: tensor {name} exceeds weights file")
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+            if offset + 4 * count > len(blob):
+                raise ParseError(f"{where}: tensor {name} exceeds weights file")
+            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
             if not np.isfinite(arr).all():
                 raise ParseError(f"{weights_path}: tensor {name} has non-finite values")
-            entries[name] = Tensor(arr.astype(np.float32))
+            arrays[name] = arr
 
-    template = EncoderParams.initialize(input_dim=input_dim, hidden=hidden, seed=0)
     try:
-        tensors = [entries[name] for name, _ in template.named()]
+        flat = np.concatenate([arrays[name] for name in lay.names])
     except KeyError as exc:
         raise ParseError(f"{manifest_path}: missing tensor {exc}") from None
-    params = template.with_tensors(tensors)
+    params = EncoderParams(flat=Tensor(flat, dtype=np.float32), hidden=hidden, input_dim=input_dim)
 
     prototypes: dict[str, list[Prototype]] = {}
     with open(protos_path, encoding="utf-8") as fh:

@@ -10,12 +10,16 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from analogia.cli import LOSS_LOG_FILE, dispatch, read_config_file
 from analogia.synthetic import build_corpus, write_corpus
 from analogia.text_data import ConfigError
+
+REPO = Path(__file__).resolve().parents[1]
+FIXTURES = REPO / "tests" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -143,11 +147,50 @@ class TestDataErrors:
         assert f"tensor {name} has non-finite values" in err
         assert "weights.bin" in err
 
+    @pytest.mark.parametrize("row, col, value", [(2, 1, "4,5"), (3, 1, "four"), (5, 2, "0x10")],
+                             ids=["shape-disagrees-with-config", "non-integer-shape", "non-integer-offset"])
+    def test_bad_manifest_entry_names_file_and_line(self, capsys, checkpoint, corpus_dir, tmp_path,
+                                                    row, col, value):
+        broken = tmp_path / "manifest"
+        shutil.copytree(checkpoint, broken)
+        lines = (broken / "manifest.txt").read_text().splitlines()
+        cols = lines[row - 1].split("\t")
+        cols[col] = value
+        lines[row - 1] = "\t".join(cols)
+        (broken / "manifest.txt").write_text("".join(line + "\n" for line in lines))
+        rc, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
+                                   "--data", str(corpus_dir / "heldout.tsv"),
+                                   "--embeddings", str(corpus_dir / "vectors.vec")])
+        assert rc == 2
+        assert f"manifest.txt: line {row}: tensor {cols[0]}" in err
+
     def test_bad_env_seed(self, capsys, corpus_dir, monkeypatch):
         monkeypatch.setenv("ANALOGIA_SEED", "not-a-number")
         rc, _, err = _run(capsys, ["gen-quadruples", "--data", str(corpus_dir / "train.tsv")])
         assert rc == 2
         assert "ANALOGIA_SEED" in err
+
+
+class TestQuickStartCheckpoint:
+    """The README quick start against a committed checkpoint of it, written
+    by an earlier version of the trainer: eval prints the committed report,
+    and train writes the same files byte for byte."""
+
+    def test_eval_prints_committed_report(self, capsys):
+        rc, out, _ = _run(capsys, ["eval", "--checkpoint", str(FIXTURES / "quickstart_checkpoint"),
+                                   "--data", str(REPO / "data" / "toy_qa.tsv"),
+                                   "--embeddings", str(REPO / "data" / "toy_vectors.vec")])
+        assert rc == 0
+        assert out == (FIXTURES / "quickstart_eval.tsv").read_text()
+
+    def test_train_writes_committed_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(REPO)  # config.json records the data paths as given
+        out = tmp_path / "model"
+        rc = dispatch(["train", "--data", "data/toy_qa.tsv", "--embeddings", "data/toy_vectors.vec",
+                       "--prototypes", "2", "--epochs", "10", "--dim", "8", "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        for name in ("weights.bin", "manifest.txt", "config.json", "prototypes.tsv", LOSS_LOG_FILE):
+            assert (out / name).read_bytes() == (FIXTURES / "quickstart_checkpoint" / name).read_bytes(), name
 
 
 class TestGenQuadruples:

@@ -26,8 +26,8 @@ def test_kernel_loss_equals_tape_loss(variant, y, dtype, rtol):
         for margin in (-0.9, 0.25, 0.9):
             hp = HyperParams(margin=margin, loss_variant=variant, l2_lambda=0.01)
             tape = dg._loss(table, sentences, params, y, hp)
-            points = tuple(t.values.astype(np.float64)[None] for t in params.tensors())
-            kernel = dg._numeric_losses(table, sentences, y, hp)(points)
+            points = params.flat.values.astype(np.float64)[None]
+            kernel = dg._numeric_losses(table, sentences, params.layout, y, hp)(points)
             assert kernel.shape == (1,)
             np.testing.assert_allclose(kernel[0], tape.loss.item(), rtol=rtol)
             hinge_active.add(bool(tape.energies[0] > margin))
@@ -51,3 +51,25 @@ def test_audit_catches_a_wrong_gradient(monkeypatch):
     monkeypatch.setattr(encoder, "_gru_scan_grads", skewed_scan_grads)
     errors = dg.full_pipeline_gradient_errors(3, seed=2, dtype=np.float64)
     assert errors.max() > dg.F64_TOLERANCE
+
+
+def test_one_kernel_call_per_draw(monkeypatch):
+    """Each draw is judged from one untaped kernel pass; each accepted
+    instance adds its tape and its batched finite-difference pass."""
+    calls, draws = [], []
+    kernel, draw = encoder.bigru_forward, dg._random_instance
+
+    def counted_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def counted_draw(*args):
+        draws.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(encoder, "bigru_forward", counted_kernel)
+    monkeypatch.setattr(dg, "bigru_forward", counted_kernel)
+    monkeypatch.setattr(dg, "_random_instance", counted_draw)
+    dg.full_pipeline_gradient_errors(10, seed=2, dtype=np.float64)
+    assert len(draws) == 35
+    assert len(calls) == len(draws) + 2 * 10

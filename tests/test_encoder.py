@@ -3,16 +3,18 @@ and gradient checks through the whole recurrence.
 """
 
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from analogia import numerics as nx
 from analogia.encoder import (
+    GATE_NAMES,
     INFERENCE,
     Dropout,
     EncoderParams,
-    GruWeights,
     bigru_forward,
     derive_seed,
     encode,
@@ -31,6 +33,27 @@ def _table(dim=3, seed=0, words=("alpha", "beta", "gamma", "delta")):
     rng = np.random.default_rng(seed)
     entries = {w: rng.normal(size=dim).astype(np.float32) for w in words}
     return EmbeddingTable(dim=dim, entries=entries, oov_seed=seed)
+
+
+class GruWeights(NamedTuple):
+    """One direction's nine tensors for the op-by-op oracle; W_* are
+    (h, d_in), U_* are (h, h), biases length h."""
+
+    W_z: nx.Tensor
+    U_z: nx.Tensor
+    b_z: nx.Tensor
+    W_r: nx.Tensor
+    U_r: nx.Tensor
+    b_r: nx.Tensor
+    W_h: nx.Tensor
+    U_h: nx.Tensor
+    b_h: nx.Tensor
+
+
+def _direction(params, direction):
+    """A direction's tensors as oracle weights, copied out of the buffer."""
+    named = dict(params.named())
+    return GruWeights(*[nx.tensor(named[f"{direction}.{gate}"]) for gate in GATE_NAMES])
 
 
 def gru_cell(x_t, h_prev, w: GruWeights):
@@ -73,7 +96,7 @@ def _scalar_cell_oracle(x, h_prev, w):
 class TestGruCell:
     def test_all_zero_weights_keep_zero_state(self):
         params = EncoderParams.initialize(input_dim=2, hidden=3, seed=0, dtype=np.float64)
-        zero = params.forward.tensors()
+        zero = _direction(params, "forward")
         w = GruWeights(*[nx.zeros(t.shape, dtype=np.float64) for t in zero])
         out = gru_cell(nx.tensor(np.ones(2), dtype=np.float64),
                        nx.tensor(np.zeros(3), dtype=np.float64), w)
@@ -97,9 +120,10 @@ class TestGruCell:
                                               seed=int(rng.integers(1 << 30)), dtype=np.float64)
             x = rng.normal(size=2)
             h_prev = rng.normal(size=2)
+            forward = _direction(params, "forward")
             got = gru_cell(nx.tensor(x, dtype=np.float64),
-                           nx.tensor(h_prev, dtype=np.float64), params.forward)
-            want = _scalar_cell_oracle(x, h_prev, params.forward)
+                           nx.tensor(h_prev, dtype=np.float64), forward)
+            want = _scalar_cell_oracle(x, h_prev, forward)
             np.testing.assert_allclose(got.values, want, rtol=1e-12)
 
     def test_gate_interval_keeps_state_bounded(self):
@@ -108,15 +132,16 @@ class TestGruCell:
         rng = np.random.default_rng(8)
         params = EncoderParams.initialize(input_dim=3, hidden=4, seed=5, dtype=np.float64)
         state = nx.tensor(np.zeros(4), dtype=np.float64)
+        forward = _direction(params, "forward")
         for _ in range(30):
             x = nx.tensor(rng.normal(size=3) * 3, dtype=np.float64)
-            state = gru_cell(x, state, params.forward)
+            state = gru_cell(x, state, forward)
             assert np.all(np.abs(state.values) < 1.0)
 
     def test_dim_mismatch_raises(self):
         params = EncoderParams.initialize(input_dim=2, hidden=3, seed=0)
         with pytest.raises(ShapeError):
-            gru_cell(nx.tensor(np.zeros(5)), nx.tensor(np.zeros(3)), params.forward)
+            gru_cell(nx.tensor(np.zeros(5)), nx.tensor(np.zeros(3)), _direction(params, "forward"))
 
 
 class TestEncoderParams:
@@ -125,21 +150,21 @@ class TestEncoderParams:
         k = 1.0 / np.sqrt(9)
         for name, t in params.named():
             if name.endswith(("b_z", "b_r", "b_h")):
-                np.testing.assert_array_equal(t.values, np.zeros(9))
+                np.testing.assert_array_equal(t, np.zeros(9))
             else:
-                assert np.all(np.abs(t.values) <= k)
-                assert np.std(t.values) > 0
+                assert np.all(np.abs(t) <= k)
+                assert np.std(t) > 0
 
     def test_initialize_deterministic(self):
         a = EncoderParams.initialize(4, 3, seed=11)
         b = EncoderParams.initialize(4, 3, seed=11)
         for (_, ta), (_, tb) in zip(a.named(), b.named()):
-            np.testing.assert_array_equal(ta.values, tb.values)
+            np.testing.assert_array_equal(ta, tb)
 
     def test_different_seeds_differ(self):
         a = EncoderParams.initialize(4, 3, seed=1)
         b = EncoderParams.initialize(4, 3, seed=2)
-        assert not np.array_equal(a.forward.W_z.values, b.forward.W_z.values)
+        assert not np.array_equal(a.arrays[0], b.arrays[0])
 
     def test_output_dim_is_twice_hidden(self):
         assert EncoderParams.initialize(5, 4, seed=0).output_dim == 8
@@ -150,23 +175,24 @@ class TestEncoderParams:
         assert names[9] == "backward.W_z"
         assert len(names) == 18
 
-    def test_with_tensors_roundtrip(self):
+    def test_named_tensors_are_views_of_the_flat_buffer(self):
+        """named() order is the buffer order: the views tile it end to end
+        without copies, and split gives the same tensors with a leading
+        axis kept."""
         params = EncoderParams.initialize(3, 2, seed=0)
-        rebuilt = params.with_tensors(params.tensors())
-        for (_, ta), (_, tb) in zip(params.named(), rebuilt.named()):
-            np.testing.assert_array_equal(ta.values, tb.values)
-
-    def test_with_tensors_wrong_count(self):
-        params = EncoderParams.initialize(3, 2, seed=0)
-        with pytest.raises(ValueError):
-            params.with_tensors(params.tensors()[:5])
+        flat = params.flat.values
+        assert all(np.shares_memory(t, flat) for _, t in params.named())
+        np.testing.assert_array_equal(np.concatenate([t.ravel() for _, t in params.named()]), flat)
+        for view, (_, t) in zip(params.layout.split(np.stack([flat, flat])), params.named()):
+            assert view.shape == (2,) + t.shape
+            np.testing.assert_array_equal(view[1], t)
 
     def test_shape_validation(self):
         params = EncoderParams.initialize(3, 2, seed=0)
-        bad = list(params.tensors())
-        bad[0] = nx.zeros((2, 99))
         with pytest.raises(ShapeError):
-            params.with_tensors(bad)
+            EncoderParams(nx.tensor(params.flat.values[:-1]), params.hidden, params.input_dim)
+        with pytest.raises(ShapeError):
+            EncoderParams(nx.tensor(params.flat.values.reshape(2, -1)), params.hidden, params.input_dim)
 
 
 class TestEncode:
@@ -178,8 +204,8 @@ class TestEncode:
         x = nx.tensor(table.lookup("alpha"), dtype=np.float64)
         h0 = nx.tensor(np.zeros(3), dtype=np.float64)
         want = np.concatenate([
-            gru_cell(x, h0, params.forward).values,
-            gru_cell(x, h0, params.backward).values,
+            gru_cell(x, h0, _direction(params, "forward")).values,
+            gru_cell(x, h0, _direction(params, "backward")).values,
         ])
         got = encode(("alpha",), table, params)
         np.testing.assert_allclose(got.values, want, rtol=1e-12)
@@ -194,11 +220,11 @@ class TestEncode:
         h0 = nx.tensor(np.zeros(2), dtype=np.float64)
         fwd, state = [], h0
         for x in xs:
-            state = gru_cell(x, state, params.forward)
+            state = gru_cell(x, state, _direction(params, "forward"))
             fwd.append(state.values)
         bwd, state = [None] * 3, h0
         for t in (2, 1, 0):
-            state = gru_cell(xs[t], state, params.backward)
+            state = gru_cell(xs[t], state, _direction(params, "backward"))
             bwd[t] = state.values
         rows = np.stack([np.concatenate([f, b]) for f, b in zip(fwd, bwd)])
         want = rows.max(axis=0)
@@ -342,9 +368,9 @@ class TestEncodeBatch:
 
 
 def _points(*params_list):
-    """Each direction's nine arrays, stacked over a leading point axis."""
-    stacked = [np.stack([p.tensors()[k].values for p in params_list]) for k in range(18)]
-    return stacked[:9], stacked[9:]
+    """The 18 arrays of the parameter sets, stacked over a leading point
+    axis."""
+    return params_list[0].layout.split(np.stack([p.flat.values for p in params_list]))
 
 
 class TestBigruForward:
@@ -364,7 +390,7 @@ class TestBigruForward:
         table = _table(dim=3, seed=4)
         params = EncoderParams.initialize(table.dim, 4, seed=21, dtype=dtype)
         packed = pack_batch(self.SENTENCES, table, dtype)
-        states, pooled, _ = bigru_forward(packed, *_points(params))
+        states, pooled, _ = bigru_forward(packed, _points(params))
         assert states.shape == (1, 16, 8) and pooled.shape == (1, 5, 8)
         assert pooled.dtype == dtype
         tol = 8 * np.finfo(dtype).eps
@@ -378,11 +404,12 @@ class TestBigruForward:
         table = _table(dim=3, seed=4)
         params = EncoderParams.initialize(table.dim, 4, seed=21, dtype=dtype)
         packed = pack_batch(self.SENTENCES, table, dtype)
-        states, _, _ = bigru_forward(packed, *_points(params))
+        states, _, _ = bigru_forward(packed, _points(params))
         tol = 8 * np.finfo(dtype).eps
         for i, sent in enumerate(self.SENTENCES):
-            for weights, half, order in ((params.forward, slice(0, 4), range(len(sent))),
-                                         (params.backward, slice(4, 8), range(len(sent) - 1, -1, -1))):
+            for weights, half, order in ((_direction(params, "forward"), slice(0, 4), range(len(sent))),
+                                         (_direction(params, "backward"), slice(4, 8),
+                                          range(len(sent) - 1, -1, -1))):
                 h = nx.zeros((4,), dtype=dtype)
                 for t in order:
                     h = gru_cell(nx.tensor(table.lookup(sent[t]), dtype=dtype), h, weights)
@@ -394,27 +421,27 @@ class TestBigruForward:
         table = _table(dim=3, seed=4)
         sets = [EncoderParams.initialize(table.dim, 2, seed=s, dtype=np.float64) for s in (1, 2, 3)]
         packed = pack_batch(self.SENTENCES, table, np.float64)
-        _, together, _ = bigru_forward(packed, *_points(*sets))
+        _, together, _ = bigru_forward(packed, _points(*sets))
         for k, params in enumerate(sets):
-            _, alone, _ = bigru_forward(packed, *_points(params))
+            _, alone, _ = bigru_forward(packed, _points(params))
             np.testing.assert_allclose(together[k], alone[0], rtol=1e-15, atol=1e-15)
 
 
-def _cell_graph_rows(sentences, table, params):
+def _cell_graph_rows(sentences, table, forward, backward):
     """Each sentence's pooled vector built op by op on the tape from
     gru_cell, concat, stack_rows and maxpool_time: the graph the fused node
     replaces."""
-    dtype, h = params.dtype, params.hidden
+    dtype, h = forward.b_z.dtype, forward.b_z.shape[0]
     rows = []
     for sent in sentences:
         xs = [nx.tensor(table.lookup(tok), dtype=dtype) for tok in sent]
         fwd, state = [], nx.zeros((h,), dtype=dtype)
         for x in xs:
-            state = gru_cell(x, state, params.forward)
+            state = gru_cell(x, state, forward)
             fwd.append(state)
         bwd, state = [None] * len(xs), nx.zeros((h,), dtype=dtype)
         for t in range(len(xs) - 1, -1, -1):
-            state = gru_cell(xs[t], state, params.backward)
+            state = gru_cell(xs[t], state, backward)
             bwd[t] = state
         rows.append(nx.maxpool_time(nx.stack_rows([nx.concat([f, b]) for f, b in zip(fwd, bwd)])))
     return rows
@@ -433,17 +460,12 @@ class TestBigruNode:
 
     @staticmethod
     def _weighted_sum(sentences, table, params, seed=0):
-        """Scalar sum of the pooled rows times fixed random weights; every
-        tensor is cast to the widest dtype among them, as the numeric side
-        of finite_difference_check hands over one float64 tensor at a
-        time."""
+        """Scalar sum of the pooled rows times fixed random weights, as a
+        function of the flat parameter buffer."""
         weights = np.random.default_rng(seed).normal(size=(len(sentences), params.output_dim))
 
-        def f(tensors):
-            dt = np.result_type(*[t.dtype for t in tensors])
-            p = params.with_tensors([t if t.dtype == dt else nx.tensor(t.values, dtype=dt)
-                                     for t in tensors])
-            out = encode_batch(sentences, table, p)
+        def f(flat):
+            out = encode_batch(sentences, table, replace(params, flat=flat))
             return nx.sum_all(nx.hadamard(out, nx.tensor(weights, dtype=out.dtype)))
 
         return f
@@ -452,9 +474,10 @@ class TestBigruNode:
         table = _table()
         params = EncoderParams.initialize(table.dim, 3, seed=5)
         with nx.GradTape() as tape:
-            tape.watch(*params.tensors())
+            tape.watch(params.flat)
             encode_batch(self.SENTENCES, table, params)
         assert len(tape._nodes) == 1
+        assert tape._nodes[0].inputs == (params.flat,)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, F32_TOL), (np.float64, F64_TOL)])
     def test_all_tensors_pass_finite_differences(self, dtype, tol):
@@ -462,7 +485,7 @@ class TestBigruNode:
         table = _table()
         params = EncoderParams.initialize(table.dim, 3, seed=13, dtype=dtype)
         f = self._weighted_sum(self.SENTENCES, table, params)
-        err = nx.finite_difference_check(f, params.tensors(), eps=1e-4 if dtype == np.float32 else 1e-5)
+        err = nx.finite_difference_check(f, params.flat, eps=1e-4 if dtype == np.float32 else 1e-5)
         assert err < tol
 
     @pytest.mark.parametrize("zero_weights", [False, True])
@@ -474,19 +497,19 @@ class TestBigruNode:
         table = _table()
         params = EncoderParams.initialize(table.dim, 3, seed=8, dtype=np.float64)
         if zero_weights:
-            params = params.with_tensors([nx.zeros(t.shape, dtype=np.float64) for t in params.tensors()])
+            params = replace(params, flat=nx.zeros(params.flat.shape, dtype=np.float64))
         weights = nx.tensor(np.random.default_rng(1).normal(size=(4, 6)), dtype=np.float64)
-        grads = []
-        for fused in (True, False):
-            with nx.GradTape() as tape:
-                tape.watch(*params.tensors())
-                if fused:
-                    out = encode_batch(self.SENTENCES, table, params)
-                else:
-                    out = nx.stack_rows(_cell_graph_rows(self.SENTENCES, table, params))
-                loss = nx.sum_all(nx.hadamard(out, weights))
-            grad_map = tape.gradient(loss)
-            grads.append([grad_map[t] for t in params.tensors()])
+        with nx.GradTape() as tape:
+            tape.watch(params.flat)
+            loss = nx.sum_all(nx.hadamard(encode_batch(self.SENTENCES, table, params), weights))
+        fused = params.layout.split(tape.gradient(loss)[params.flat])
+        forward, backward = _direction(params, "forward"), _direction(params, "backward")
+        with nx.GradTape() as tape:
+            tape.watch(*forward, *backward)
+            out = nx.stack_rows(_cell_graph_rows(self.SENTENCES, table, forward, backward))
+            loss = nx.sum_all(nx.hadamard(out, weights))
+        grad_map = tape.gradient(loss)
+        grads = [fused, [grad_map[t] for t in (*forward, *backward)]]
         for k, (got, want) in enumerate(zip(*grads)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=f"tensor {k}")
 
@@ -540,7 +563,7 @@ class TestPackedBatch:
         table = _table()
         params = EncoderParams.initialize(table.dim, 3, seed=13, dtype=dtype)
         f = TestBigruNode._weighted_sum(self.BATCHES[name], table, params)
-        err = nx.finite_difference_check(f, params.tensors(), eps=1e-4 if dtype == np.float32 else 1e-5)
+        err = nx.finite_difference_check(f, params.flat, eps=1e-4 if dtype == np.float32 else 1e-5)
         assert err < tol
 
     @pytest.mark.parametrize("name", sorted(BATCHES))
@@ -554,6 +577,14 @@ class TestPackedBatch:
         np.testing.assert_allclose(permuted, rows[perm], rtol=1e-6)
 
 
+def _written_into(buffer, lo, t):
+    """A copy of the flat buffer with tensor t's entries written from lo
+    on, as a tape node that hands that slice's gradient back to t."""
+    values = buffer.copy()
+    values[lo:lo + t.size] = t.values.ravel()
+    return nx._emit(values, (t,), lambda g: (g[lo:lo + t.size].reshape(t.shape),))
+
+
 class TestEncoderGradients:
     """Finite-difference checks through the full recurrence, pooling, and
     batching, for every one of the 18 parameter tensors."""
@@ -561,20 +592,19 @@ class TestEncoderGradients:
     def _loss_through_encode(self, which, dtype, batched):
         table = _table(dim=2, words=("alpha", "beta", "gamma"))
         params = EncoderParams.initialize(2, 2, seed=31, dtype=dtype)
-        baseline = [t.values.astype(np.float64) for t in params.tensors()]
+        baseline = params.flat.values.astype(np.float64)
+        lo, hi = params.layout.offsets[which:which + 2]
         sentences = [("alpha", "beta", "gamma"), ("beta",), ("gamma", "alpha")]
 
         def f(t):
-            tensors = [t if i == which else nx.tensor(baseline[i], dtype=t.dtype)
-                       for i in range(18)]
-            p = params.with_tensors(tensors)
+            p = replace(params, flat=_written_into(baseline.astype(t.dtype), lo, t))
             if batched:
                 out = encode_batch(sentences, table, p)
                 return nx.sum_all(nx.hadamard(out, out))
             vec = encode(sentences[0], table, p)
             return nx.sum_all(nx.hadamard(vec, vec))
 
-        return f, baseline[which]
+        return f, baseline[lo:hi].reshape(params.layout.shapes[which])
 
     @pytest.mark.parametrize("which", range(18))
     def test_per_sentence_path(self, which):

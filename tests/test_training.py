@@ -3,12 +3,13 @@ and checkpoint round-trips."""
 
 import json
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from analogia import training
+from analogia import encoder, training
 from analogia.encoder import Dropout, EncoderParams, derive_seed
 from analogia.numerics import GradTape, Tensor, _active_tape
 from analogia.quadgen import Prototype, generate_training_quadruples, select_prototypes
@@ -59,8 +60,8 @@ class TestAdamStep:
     def test_zero_gradient_zero_decay_is_identity(self):
         p = Tensor(np.arange(1.0, 7.0, dtype=np.float32).reshape(2, 3))
         cfg = TrainConfig(lr=0.001, weight_decay=0.0, dim=4)
-        state = AdamState.for_params([p])
-        (out,) = adam_step([p], [np.zeros((2, 3))], state, cfg)
+        state = AdamState.for_params(p)
+        out = adam_step(p, np.zeros((2, 3)), state, cfg)
         np.testing.assert_array_equal(out.values, p.values)
         assert state.t == 1
 
@@ -69,11 +70,11 @@ class TestAdamStep:
         # decay acts: one step multiplies by (1 - lr*wd) = (1 - 1e-5).
         p = Tensor(np.array([2.0, -3.0, 0.5], dtype=np.float32))
         cfg = TrainConfig(lr=0.001, weight_decay=0.01, dim=4)
-        state = AdamState.for_params([p])
-        out = adam_step([p], [np.zeros(3)], state, cfg)[0]
+        state = AdamState.for_params(p)
+        out = adam_step(p, np.zeros(3), state, cfg)
         expected = p.values * (1.0 - cfg.lr * cfg.weight_decay)
         np.testing.assert_array_equal(out.values, expected)
-        out2 = adam_step([out], [np.zeros(3)], state, cfg)[0]
+        out2 = adam_step(out, np.zeros(3), state, cfg)
         np.testing.assert_array_equal(out2.values, expected * (1.0 - cfg.lr * cfg.weight_decay))
         assert state.t == 2
 
@@ -82,8 +83,8 @@ class TestAdamStep:
         # i.e. almost exactly lr in magnitude for g=1.
         p = Tensor(np.array(0.0, dtype=np.float64))
         cfg = TrainConfig(lr=0.001, weight_decay=0.0, dim=4)
-        state = AdamState.for_params([p])
-        out = adam_step([p], [np.array(1.0)], state, cfg)[0]
+        state = AdamState.for_params(p)
+        out = adam_step(p, np.array(1.0), state, cfg)
         assert out.values == pytest.approx(-cfg.lr, rel=1e-6)
 
     def test_matches_independent_recurrence_over_steps(self):
@@ -91,12 +92,12 @@ class TestAdamStep:
         theta = rng.normal(size=(3, 2))
         p = Tensor(theta.copy())
         cfg = TrainConfig(lr=0.01, weight_decay=0.02, dim=4)
-        state = AdamState.for_params([p])
+        state = AdamState.for_params(p)
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
         for t in range(1, 6):
             g = rng.normal(size=(3, 2))
-            p = adam_step([p], [g], state, cfg)[0]
+            p = adam_step(p, g, state, cfg)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             step = cfg.lr * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -109,23 +110,51 @@ class TestAdamStep:
         # included (the decay term is lr-scaled).
         cfg = SimpleNamespace(lr=0.0, weight_decay=0.5)
         p = Tensor(np.array([1.0, -2.0], dtype=np.float32))
-        state = AdamState.for_params([p])
-        out = adam_step([p], [np.array([5.0, -7.0])], state, cfg)[0]
+        state = AdamState.for_params(p)
+        out = adam_step(p, np.array([5.0, -7.0]), state, cfg)
         np.testing.assert_array_equal(out.values, p.values)
 
     def test_nan_gradient_raises(self):
         p = Tensor(np.ones(3, dtype=np.float32))
         cfg = TrainConfig(dim=4)
-        state = AdamState.for_params([p])
+        state = AdamState.for_params(p)
         with pytest.raises(TrainingError, match="non-finite gradient"):
-            adam_step([p], [np.array([1.0, np.nan, 0.0])], state, cfg)
+            adam_step(p, np.array([1.0, np.nan, 0.0]), state, cfg)
         assert state.t == 0
 
     def test_shape_mismatch_raises(self):
         p = Tensor(np.ones((2, 2), dtype=np.float32))
-        state = AdamState.for_params([p])
+        state = AdamState.for_params(p)
         with pytest.raises(ValueError, match="shape"):
-            adam_step([p], [np.ones(3)], state, TrainConfig(dim=4))
+            adam_step(p, np.ones(3), state, TrainConfig(dim=4))
+
+
+class TestClipGradients:
+    """--clip-norm: one global norm over the whole parameter buffer."""
+
+    def test_above_threshold_scaled_to_clip_norm(self):
+        g = np.random.default_rng(3).normal(size=300).astype(np.float32)
+        clipped = training._clip_gradients(g, 0.5)
+        assert clipped.dtype == np.float32
+        np.testing.assert_allclose(np.linalg.norm(clipped.astype(np.float64)), 0.5, rtol=1e-6)
+        np.testing.assert_allclose(clipped / g, clipped[0] / g[0], rtol=1e-6)
+
+    @pytest.mark.parametrize("g", [np.full(40, 0.01, dtype=np.float32), np.zeros(40, dtype=np.float32)],
+                             ids=["below", "zero"])
+    def test_at_or_below_threshold_unchanged(self, g):
+        clipped = training._clip_gradients(g, 1.0)
+        assert clipped.dtype == g.dtype
+        np.testing.assert_array_equal(clipped, g)
+
+    def test_clipped_runs_bit_identical(self):
+        ds, table, protos = _toy_world()
+        cfg = TrainConfig(epochs=2, batch_size=8, dim=8, seed=9, clip_norm=0.01)
+        r1 = train(cfg, ds, protos, table)
+        r2 = train(cfg, ds, protos, table)
+        assert loss_log_to_tsv(r1.loss_log) == loss_log_to_tsv(r2.loss_log)
+        np.testing.assert_array_equal(r1.params.flat.values, r2.params.flat.values)
+        unclipped = train(replace(cfg, clip_norm=None), ds, protos, table)
+        assert not np.array_equal(r1.params.flat.values, unclipped.params.flat.values)
 
 
 class TestTrainConfig:
@@ -180,8 +209,7 @@ class TestTrain:
         r1 = train(cfg, ds, protos, table)
         r2 = train(cfg, ds, protos, table)
         assert loss_log_to_tsv(r1.loss_log) == loss_log_to_tsv(r2.loss_log)
-        for t1, t2 in zip(r1.params.tensors(), r2.params.tensors()):
-            np.testing.assert_array_equal(t1.values, t2.values)
+        np.testing.assert_array_equal(r1.params.flat.values, r2.params.flat.values)
 
     def test_different_seed_differs(self):
         ds, table, protos = _toy_world()
@@ -195,8 +223,7 @@ class TestTrain:
         res = train(cfg, ds, protos, table)
         init = EncoderParams.initialize(input_dim=table.dim, hidden=4,
                                         seed=derive_seed(4, "init"))
-        for got, want in zip(res.params.tensors(), init.tensors()):
-            np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(res.params.flat.values, init.flat.values)
         assert res.loss_log == ()
 
     def test_no_quadruples_raises(self):
@@ -208,6 +235,21 @@ class TestTrain:
         table = EmbeddingTable(dim=4, entries={})
         with pytest.raises(TrainingError, match="no training quadruples"):
             train(TrainConfig(epochs=1, dim=4), ds, protos, table)
+
+    def test_non_finite_gradient_names_its_tensor(self, monkeypatch):
+        """A NaN in one tensor's gradient stops training at the first step,
+        naming that tensor and the batch."""
+        scan_grads = encoder._gru_scan_grads
+
+        def nan_in_b_r(*args):
+            grads = list(scan_grads(*args))
+            grads[5] = np.full_like(grads[5], np.nan)
+            return tuple(grads)
+
+        monkeypatch.setattr(encoder, "_gru_scan_grads", nan_in_b_r)
+        ds, table, protos = _toy_world()
+        with pytest.raises(TrainingError, match=r"non-finite gradient in forward\.b_r at epoch 1 batch 0"):
+            train(TrainConfig(epochs=1, batch_size=8, dim=8, seed=1), ds, protos, table)
 
     def test_loss_log_tsv_layout(self):
         ds, table, protos = _toy_world()
@@ -301,8 +343,7 @@ class TestTrainingStep:
         r1 = train(cfg, ds, protos, table)
         r2 = train(cfg, ds, protos, table)
         assert loss_log_to_tsv(r1.loss_log) == loss_log_to_tsv(r2.loss_log)
-        for t1, t2 in zip(r1.params.tensors(), r2.params.tensors()):
-            np.testing.assert_array_equal(t1.values, t2.values)
+        np.testing.assert_array_equal(r1.params.flat.values, r2.params.flat.values)
 
 
 class TestCheckpoint:
@@ -323,7 +364,7 @@ class TestCheckpoint:
         loaded, meta, loaded_protos = load_checkpoint(out)
         for (n1, t1), (n2, t2) in zip(params.named(), loaded.named()):
             assert n1 == n2
-            np.testing.assert_array_equal(t1.values, t2.values)
+            np.testing.assert_array_equal(t1, t2)
         for key, value in config.items():
             assert meta[key] == value
         assert meta["input_dim"] == 5 and meta["hidden"] == 3
@@ -347,7 +388,7 @@ class TestCheckpoint:
         shape = tuple(int(s) for s in shape_str.split(","))
         n = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=int(offset)).reshape(shape)
-        np.testing.assert_array_equal(arr, dict(params.named())[name].values)
+        np.testing.assert_array_equal(arr, dict(params.named())[name])
 
     def test_config_file_is_json(self, tmp_path):
         out, _, config, _ = self._roundtrip(tmp_path)
@@ -375,5 +416,4 @@ class TestCheckpoint:
         out = os.path.join(tmp_path, "ckpt")
         save_checkpoint(out, res.params, {"seed": 2}, res.prototypes)
         loaded, _, _ = load_checkpoint(out)
-        for t1, t2 in zip(res.params.tensors(), loaded.tensors()):
-            np.testing.assert_array_equal(t1.values, t2.values)
+        np.testing.assert_array_equal(res.params.flat.values, loaded.flat.values)
