@@ -5,11 +5,20 @@ a - b = c - d.  Everything here scores how close a quadruple comes to that:
 either directly on vectors (``analogical_dissimilarity``) or through the
 cosine between learned shift vectors (``energy``), which also drives the
 contrastive training objective.
+
+That objective has one implementation: the plain-numpy kernel
+``batch_loss_forward``, over rows with any leading axes.  ``batch_loss``
+records it as a single tape node whose backward pass is
+``_batch_loss_grads``, and the gradient audit in ``diagnostics`` calls the
+same kernel for its numeric side.  The scalar ``energy`` and
+``contrastive_loss`` stay as reference oracles, and ``rank_candidates``
+keeps its own evaluation formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,49 +229,87 @@ class BatchLossResult:
     degenerate_count: int
 
 
-def batch_loss(batch: EncodedBatch, hp: HyperParams, params=()) -> BatchLossResult:
-    """Mean contrastive loss over a batch, on the active gradient tape.
+class LossForward(NamedTuple):
+    """batch_loss_forward's results; the fields after usable feed _batch_loss_grads."""
 
-    Energies are cosines of the two per-row shift matrices.  Rows where
-    either shift norm falls below hp.cosine_epsilon are scored 0 with the
-    gradient path severed (a constant contributes no gradient), mirroring
-    the neutral-score contract of energy().  With l2_lambda > 0 the squared
-    norms of ``params`` are added.
+    loss: np.ndarray  # (...), mean loss per point, L2 term included
+    energies: np.ndarray  # (..., B), 0.0 where degenerate
+    usable: np.ndarray  # (..., B) bool, both shift norms reach cosine_epsilon
+    shifts: np.ndarray  # (2, ..., B, d): f_qp - f_ap, then f_qi - f_ai
+    sq: np.ndarray  # (2, ..., B) squared shift norms
+    dots: np.ndarray
+    denom: np.ndarray
+    pos_gap: np.ndarray  # 1 - E
+    shifted: np.ndarray  # E - margin, clamped at 0 by the hinge
+    y: np.ndarray  # labels in the rows' dtype
+
+
+def batch_loss_forward(f_qp, f_ap, f_qi, f_ai, labels, hp: HyperParams, theta=None) -> LossForward:
+    """The mean contrastive loss of rows shaped (..., B, d), in their dtype.
+
+    Energies are cosines of the two per-row shifts.  Rows where either
+    shift norm falls below hp.cosine_epsilon are scored 0, the neutral
+    score of energy().  With hp.l2_lambda > 0 and a flat ``theta`` of shape
+    (..., F), l2_lambda times its squared norm is added per point.
     """
-    B = batch.size
-    dtype = batch.f_qp.dtype
     eps = hp.cosine_epsilon
-
-    u = nx.sub(batch.f_qp, batch.f_ap)
-    v = nx.sub(batch.f_qi, batch.f_ai)
-
-    dots = nx.sum_axis(nx.hadamard(u, v), axis=1)
-    squ = nx.sum_axis(nx.hadamard(u, u), axis=1)
-    sqv = nx.sum_axis(nx.hadamard(v, v), axis=1)
+    shifts = np.stack((f_qp - f_ap, f_qi - f_ai))
+    sq = (shifts * shifts).sum(axis=-1)
+    dots = (shifts[0] * shifts[1]).sum(axis=-1)
     # eps^4 keeps the denominator (and its gradient) finite on zero shifts
-    denom = nx.sqrt(nx.add(nx.hadamard(squ, sqv), nx.tensor(np.full(B, eps ** 4), dtype=dtype)))
-    e_raw = nx.div(dots, denom)
-
-    norm_u = np.sqrt(squ.values.astype(np.float64))
-    norm_v = np.sqrt(sqv.values.astype(np.float64))
-    usable = ((norm_u >= eps) & (norm_v >= eps)).astype(np.float64)
-    degenerate_count = int(B - usable.sum())
-    e = nx.hadamard(e_raw, nx.tensor(usable, dtype=dtype))
-
-    one = nx.tensor(np.ones(B), dtype=dtype)
-    pos_gap = nx.sub(one, e)
-    pos = nx.hadamard(pos_gap, pos_gap)
-    shifted = nx.sub(e, nx.tensor(np.full(B, hp.margin), dtype=dtype))
+    denom = np.sqrt(sq[0] * sq[1] + eps ** 4)
+    usable = (np.sqrt(sq.astype(np.float64)) >= eps).all(axis=0)
+    e = dots / denom * usable
+    pos_gap = 1.0 - e
+    shifted = e - hp.margin
     if hp.loss_variant == "hinge":
-        shifted = nx.maximum(shifted, nx.tensor(np.zeros(B), dtype=dtype))
-    neg = nx.hadamard(shifted, shifted)
+        shifted = np.where(shifted >= 0, shifted, 0.0)
+    y = np.asarray(labels).astype(e.dtype)
+    per_row = (1.0 - y) * (shifted * shifted) + y * (pos_gap * pos_gap)
+    loss = per_row.sum(axis=-1) * (1.0 / y.shape[-1])
+    if theta is not None and hp.l2_lambda > 0:
+        loss = loss + np.square(theta).sum(axis=-1) * hp.l2_lambda
+    return LossForward(loss, e, usable, shifts, sq, dots, denom, pos_gap, shifted, y)
 
-    y = batch.labels.astype(np.float64)
-    per_row = nx.blend(nx.tensor(y, dtype=dtype), neg, pos)
-    loss = nx.scale(nx.sum_all(per_row), 1.0 / B)
 
-    if hp.l2_lambda > 0 and params:
-        loss = nx.add(loss, nx.scale(nx.sum_squares(params), hp.l2_lambda))
+def _batch_loss_grads(g, fwd: LossForward, hp: HyperParams, theta=None) -> tuple:
+    """The gradients of f_qp, f_ap, f_qi, f_ai, then theta when given, for
+    an upstream gradient g of batch_loss_forward's loss.  The clamped hinge
+    needs no mask.  Each square's gradient is 2.0 * (g * s), exactly the
+    (g * s) + (g * s) a tape of elementwise ops would add up, so the bits
+    match that composition."""
+    g_row = np.full(fwd.y.shape, g * (1.0 / fwd.y.shape[-1]), dtype=fwd.y.dtype)
+    g_neg = g_row * (1.0 - fwd.y)
+    g_pos = g_row * fwd.y
+    g_shifted = 2.0 * (g_neg * fwd.shifted)
+    g_pos_gap = 2.0 * (g_pos * fwd.pos_gap)
+    g_e = (g_shifted - g_pos_gap) * fwd.usable
+    g_dots = (g_e / fwd.denom)[..., None]
+    g_denom = -g_e * fwd.dots / (fwd.denom * fwd.denom)
+    g_sq = (g_denom * 0.5 / fwd.denom * fwd.sq[::-1])[..., None]
+    g_shifts = 2.0 * (g_sq * fwd.shifts) + g_dots * fwd.shifts[::-1]
+    grads = (g_shifts[0], -g_shifts[0], g_shifts[1], -g_shifts[1])
+    if theta is not None:
+        grads += (g * hp.l2_lambda * 2.0 * theta,)
+    return grads
 
-    return BatchLossResult(loss=loss, energies=e.values.astype(np.float64).copy(),
-                           degenerate_count=degenerate_count)
+
+def batch_loss(batch: EncodedBatch, hp: HyperParams, params=()) -> BatchLossResult:
+    """Mean contrastive loss over a batch as one node on the active tape:
+    batch_loss_forward's value, _batch_loss_grads' backward pass (degenerate
+    rows get no gradient).  With l2_lambda > 0 the squared norms of
+    ``params`` are added, and the params are inputs of the node too."""
+    rows = (batch.f_qp, batch.f_ap, batch.f_qi, batch.f_ai)
+    params = tuple(params) if hp.l2_lambda > 0 else ()
+    theta = np.concatenate([p.values.reshape(-1) for p in params]) if params else None
+    fwd = batch_loss_forward(*(t.values for t in rows), batch.labels, hp, theta)
+    cuts = np.cumsum([p.size for p in params])[:-1]
+
+    def back(g):
+        grads = _batch_loss_grads(g, fwd, hp, theta)
+        flat = np.split(grads[4], cuts) if params else ()
+        return grads[:4] + tuple(f.reshape(p.shape) for f, p in zip(flat, params))
+
+    loss = nx._emit(np.asarray(fwd.loss), rows + params, back)
+    return BatchLossResult(loss=loss, energies=fwd.energies.astype(np.float64),
+                           degenerate_count=int(np.count_nonzero(~fwd.usable)))

@@ -11,7 +11,10 @@ central differences tightly.
 Per instance, one untaped pass of the plain-numpy BiGRU kernel decides
 whether a draw is acceptable, one tape gives the analytic gradient of the
 encoder's flat parameter buffer, and one float64 pass of the kernel
-evaluates the loss at every central-difference point of that buffer.
+evaluates the loss at every central-difference point of that buffer.  The
+loss on both sides is analogy_core.batch_loss_forward, the kernel that
+batch_loss records as its tape node: this module keeps no energy or loss
+arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import numerics as nx
-from .analogy_core import EncodedBatch, HyperParams, batch_loss
+from .analogy_core import EncodedBatch, HyperParams, batch_loss, batch_loss_forward
 from .encoder import EncoderParams, Layout, bigru_forward, derive_seed, encode_batch, pack_batch
 from .numerics import finite_difference_check
 from .text_data import EmbeddingTable
@@ -61,32 +64,11 @@ def _loss(table, sentences, params, y, hp):
     return batch_loss(batch, hp, params=(params.flat,))
 
 
-def _energies(pooled: np.ndarray, hp: HyperParams) -> tuple[np.ndarray, np.ndarray]:
-    """The (P,) energies, 0 where degenerate, and the (P,) flags of points
-    whose two shift norms both reach cosine_epsilon, from (P, 4, d) pooled
-    encodings in their own dtype: batch_loss's arithmetic, term for term."""
-    eps = hp.cosine_epsilon
-    u = pooled[:, 0] - pooled[:, 1]
-    v = pooled[:, 2] - pooled[:, 3]
-    squ = (u * u).sum(axis=-1)
-    sqv = (v * v).sum(axis=-1)
-    e_raw = (u * v).sum(axis=-1) / np.sqrt(squ * sqv + eps ** 4)
-    usable = (np.sqrt(squ) >= eps) & (np.sqrt(sqv) >= eps)
-    return e_raw * usable, usable
-
-
-def _loss_values(pooled: np.ndarray, y: int, hp: HyperParams, theta: np.ndarray) -> np.ndarray:
-    """The (P,) losses _loss computes, from (P, 4, d) pooled encodings and
-    the (P, F) flat parameter points.  The arithmetic is batch_loss's, term
-    for term, on a one-quadruple batch."""
-    e, _ = _energies(pooled, hp)
-    shifted = e - hp.margin
-    if hp.loss_variant == "hinge":
-        shifted = np.maximum(shifted, 0.0)
-    loss = (1.0 - y) * (shifted * shifted) + y * ((1.0 - e) * (1.0 - e))
-    if hp.l2_lambda > 0:
-        loss = loss + hp.l2_lambda * np.square(theta).sum(axis=1)
-    return loss
+def _quadruple_loss(pooled: np.ndarray, y: int, hp: HyperParams, theta=None):
+    """batch_loss_forward on (P, 4, d) pooled encodings, each point one
+    quadruple: the kernel batch_loss records, with P as its leading axis."""
+    rows = (pooled[:, i:i + 1] for i in range(len(_ROLES)))
+    return batch_loss_forward(*rows, np.array([y]), hp, theta)
 
 
 def _numeric_losses(table, sentences, lay: Layout, y, hp):
@@ -97,7 +79,7 @@ def _numeric_losses(table, sentences, lay: Layout, y, hp):
 
     def losses(theta):
         _, pooled, _ = bigru_forward(packed, lay.split(theta))
-        return _loss_values(pooled, y, hp, theta)
+        return _quadruple_loss(pooled, y, hp, theta).loss
 
     return losses
 
@@ -107,17 +89,12 @@ def _acceptable(table, sentences, params, y, hp) -> bool:
     one untaped kernel pass at params, in their dtype."""
     packed = pack_batch(sentences, table, params.dtype)
     states, pooled, _ = bigru_forward(packed, params.point_arrays)
-    energy, usable = _energies(pooled, hp)
-    if not usable[0]:
+    fwd = _quadruple_loss(pooled, y, hp)
+    # a short shift, degenerate ones included, bends the cosine sharply
+    if np.sqrt(fwd.sq.min()) < _MIN_SHIFT_NORM:
         return False
-    stacked = pooled[0].astype(np.float64)
-    u = stacked[0] - stacked[1]
-    v = stacked[2] - stacked[3]
-    if min(np.linalg.norm(u), np.linalg.norm(v)) < _MIN_SHIFT_NORM:
+    if hp.loss_variant == "hinge" and y == 0 and abs(fwd.energies[0, 0] - hp.margin) < _MIN_HINGE_DISTANCE:
         return False
-    if hp.loss_variant == "hinge" and y == 0:
-        if abs(float(energy[0]) - hp.margin) < _MIN_HINGE_DISTANCE:
-            return False
     # no max-pool column may have its top two time steps nearly tied
     for i, s in enumerate(sentences):
         if len(s) >= 2:

@@ -133,14 +133,25 @@ def _build_report(evaluated: list[ScoredQuestion], skipped: dict[str, int]) -> M
     return MetricsReport(rows=tuple(rows))
 
 
-def _skip_reason(question, prototypes) -> str | None:
-    if not any(c.label == 1 for c in question.candidates):
-        return "no positive candidate"
-    if question.wh_type == OTHER or not prototypes.get(question.wh_type):
-        return "no same-type prototypes"
-    if len(question.text) == 0 or any(len(c.text) == 0 for c in question.candidates):
-        return "empty sentence"
-    return None
+def _scorable(question, prototypes) -> bool:
+    return (any(c.label == 1 for c in question.candidates)
+            and question.wh_type != OTHER and bool(prototypes.get(question.wh_type))
+            and len(question.text) > 0 and all(len(c.text) > 0 for c in question.candidates))
+
+
+def _rank_questions(dataset: QADataset, prototypes, rank) -> EvaluationResult:
+    """rank(question) -> RankedList on every scorable question, in dataset
+    order; the others are counted as skipped per wh-type."""
+    evaluated: list[ScoredQuestion] = []
+    skipped: dict[str, int] = {}
+    for q in dataset.questions:
+        if not _scorable(q, prototypes):
+            skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
+            continue
+        evaluated.append(ScoredQuestion(
+            question_id=q.question_id, wh_type=q.wh_type, ranking=rank(q),
+            labels=tuple(c.label for c in q.candidates)))
+    return EvaluationResult(report=_build_report(evaluated, skipped), rankings=tuple(evaluated))
 
 
 def _encode_once(encode_fn, memo: dict):
@@ -168,24 +179,14 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
     encode_fn.
     """
     encode_fn = _encode_once(encode_fn, {} if memo is None else memo)
-    proto_vecs: dict[str, list] = {}
-    for wh, protos in prototypes.items():
-        proto_vecs[wh] = [(encode_fn(pr.question), encode_fn(pr.answer)) for pr in protos]
+    proto_vecs = {wh: [(encode_fn(pr.question), encode_fn(pr.answer)) for pr in protos]
+                  for wh, protos in prototypes.items()}
 
-    evaluated: list[ScoredQuestion] = []
-    skipped: dict[str, int] = {}
-    for q in dataset.questions:
-        reason = _skip_reason(q, prototypes)
-        if reason is not None:
-            skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
-            continue
-        q_vec = encode_fn(q.text)
-        cand_vecs = [encode_fn(c.text) for c in q.candidates]
-        ranking = rank_candidates(q_vec, cand_vecs, proto_vecs[q.wh_type], mode=mode, eps=eps)
-        evaluated.append(ScoredQuestion(
-            question_id=q.question_id, wh_type=q.wh_type, ranking=ranking,
-            labels=tuple(c.label for c in q.candidates)))
-    return EvaluationResult(report=_build_report(evaluated, skipped), rankings=tuple(evaluated))
+    def rank(q):
+        return rank_candidates(encode_fn(q.text), [encode_fn(c.text) for c in q.candidates],
+                               proto_vecs[q.wh_type], mode=mode, eps=eps)
+
+    return _rank_questions(dataset, prototypes, rank)
 
 
 def mean_embedding_encoder(table: EmbeddingTable):
@@ -211,24 +212,15 @@ def random_rank(dataset: QADataset, prototypes: dict[str, list[Prototype]],
     best_prototype_index is -1 on every entry since no prototype takes part.
     """
     rng = np.random.default_rng(seed)
-    evaluated: list[ScoredQuestion] = []
-    skipped: dict[str, int] = {}
-    for q in dataset.questions:
-        reason = _skip_reason(q, prototypes)
-        if reason is not None:
-            skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
-            continue
+
+    def rank(q):
         scores = rng.random(len(q.candidates))
         order = sorted(range(len(scores)), key=lambda i: -scores[i])
-        entries = tuple(
-            RankedCandidate(candidate_index=i, score=float(scores[i]), rank=r + 1,
-                            best_prototype_index=-1)
-            for r, i in enumerate(order))
-        ranking = RankedList(entries=entries, mode=ENERGY_MODE, degenerate_count=0)
-        evaluated.append(ScoredQuestion(
-            question_id=q.question_id, wh_type=q.wh_type, ranking=ranking,
-            labels=tuple(c.label for c in q.candidates)))
-    return EvaluationResult(report=_build_report(evaluated, skipped), rankings=tuple(evaluated))
+        entries = tuple(RankedCandidate(candidate_index=i, score=float(scores[i]), rank=r + 1,
+                                        best_prototype_index=-1) for r, i in enumerate(order))
+        return RankedList(entries=entries, mode=ENERGY_MODE, degenerate_count=0)
+
+    return _rank_questions(dataset, prototypes, rank)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .text_data import WH_TYPES, Candidate, ParseError, QADataset, Question
+from .text_data import WH_TYPES, Candidate, QADataset, Question
 
 
 @dataclass(frozen=True)
@@ -133,27 +133,3 @@ def quadruples_to_tsv(quads) -> str:
         lines.append("\t".join((q.wh_type, " ".join(q.a), " ".join(q.b),
                                 " ".join(q.c), " ".join(q.d), str(q.y))))
     return "".join(line + "\n" for line in lines)
-
-
-def read_quadruples(path) -> list[Quadruple]:
-    quads = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 6:
-                raise ParseError(f"{path}: line {lineno}: expected 6 columns, got {len(cols)}")
-            wh, a, b, c, d, y = cols
-            if y not in ("0", "1"):
-                raise ParseError(f"{path}: line {lineno}: y must be 0 or 1, got {y!r}")
-            quads.append(Quadruple(a=tuple(a.split()), b=tuple(b.split()),
-                                   c=tuple(c.split()), d=tuple(d.split()),
-                                   y=int(y), wh_type=wh))
-    return quads
-
-
-def write_quadruples(path, quads) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(quadruples_to_tsv(quads))

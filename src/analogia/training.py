@@ -245,12 +245,18 @@ def load_checkpoint(directory):
             raise ParseError(f"checkpoint incomplete: missing {os.path.basename(p)}")
 
     with open(config_path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    try:
-        hidden = int(config["hidden"])
-        input_dim = int(config["input_dim"])
-    except KeyError as exc:
-        raise ParseError(f"{config_path}: missing key {exc}") from None
+        try:
+            config = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{config_path}: not valid UTF-8 JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ParseError(f"{config_path}: expected a JSON object, got {type(config).__name__}")
+    for key in ("hidden", "input_dim"):
+        value = config.get(key)
+        if type(value) is not int or value < 1:
+            raise ParseError(f"{config_path}: {key} must be a positive integer, got {value!r}"
+                             if key in config else f"{config_path}: missing key {key!r}")
+    hidden, input_dim = config["hidden"], config["input_dim"]
 
     with open(weights_path, "rb") as fh:
         blob = fh.read()

@@ -11,10 +11,12 @@ from analogia import numerics as nx
 from analogia.analogy_core import (
     BatchLossResult,
     EncodedBatch,
+    LOSS_VARIANTS,
     HyperParams,
     ShiftPair,
     analogical_dissimilarity,
     batch_loss,
+    batch_loss_forward,
     contrastive_loss,
     energy,
     rank_candidates,
@@ -278,7 +280,59 @@ def _batch_from_shifts(proto_shifts, quad_shifts, labels, dtype=np.float64):
         labels=np.asarray(labels))
 
 
+def _op_by_op_loss(batch, hp, params):
+    """Reference oracle: the batch loss composed from elementwise tape ops,
+    one node per op; batch_loss's single node must give the same bits."""
+    B, dtype, eps = batch.size, batch.f_qp.dtype, hp.cosine_epsilon
+    u = nx.sub(batch.f_qp, batch.f_ap)
+    v = nx.sub(batch.f_qi, batch.f_ai)
+    dots = nx.sum_axis(nx.hadamard(u, v), axis=1)
+    squ = nx.sum_axis(nx.hadamard(u, u), axis=1)
+    sqv = nx.sum_axis(nx.hadamard(v, v), axis=1)
+    denom = nx.sqrt(nx.add(nx.hadamard(squ, sqv), nx.tensor(np.full(B, eps ** 4), dtype=dtype)))
+    usable = (np.sqrt(squ.values.astype(np.float64)) >= eps) & (np.sqrt(sqv.values.astype(np.float64)) >= eps)
+    e = nx.hadamard(nx.div(dots, denom), nx.tensor(usable, dtype=dtype))
+    pos_gap = nx.sub(nx.tensor(np.ones(B), dtype=dtype), e)
+    shifted = nx.sub(e, nx.tensor(np.full(B, hp.margin), dtype=dtype))
+    if hp.loss_variant == "hinge":
+        shifted = nx.maximum(shifted, nx.tensor(np.zeros(B), dtype=dtype))
+    per_row = nx.blend(nx.tensor(batch.labels, dtype=dtype), nx.hadamard(shifted, shifted),
+                       nx.hadamard(pos_gap, pos_gap))
+    loss = nx.scale(nx.sum_all(per_row), 1.0 / B)
+    if hp.l2_lambda > 0 and params:
+        loss = nx.add(loss, nx.scale(nx.sum_squares(params), hp.l2_lambda))
+    return BatchLossResult(loss=loss, energies=e.values.astype(np.float64),
+                           degenerate_count=int(B - usable.sum()))
+
+
 class TestBatchLoss:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_the_op_by_op_composition(self, dtype):
+        """Loss, energies and every gradient, L2 included, equal the
+        reference's bit for bit, over both variants, margins 0 and random,
+        and batches with degenerate rows."""
+        rng = np.random.default_rng(25)
+        for case in range(48):
+            B, d = (int(n) for n in rng.integers(1, 12, size=2))
+            mats = [rng.normal(size=(B, d)) for _ in range(4)]
+            mats[1][0] = mats[0][0]  # row 0 is degenerate
+            hp = HyperParams(margin=0.0 if case % 3 else float(rng.uniform(-1, 1)),
+                             loss_variant=LOSS_VARIANTS[case % 2], l2_lambda=(0.0, 0.01)[case // 2 % 2])
+            labels = rng.integers(0, 2, size=B)
+            theta = nx.tensor(rng.normal(size=7), dtype=dtype)
+            results = []
+            for loss_fn in (lambda b: batch_loss(b, hp, params=(theta,)),
+                            lambda b: _op_by_op_loss(b, hp, (theta,))):
+                with nx.GradTape() as tape:
+                    rows = [nx.tensor(m, dtype=dtype) for m in mats]
+                    tape.watch(*rows, theta)
+                    out = loss_fn(EncodedBatch(*rows, labels=labels))
+                grads = tape.gradient(out.loss)
+                results.append([out.loss.values, out.energies, np.array(out.degenerate_count)]
+                               + [grads[t] for t in rows] + [grads[theta]])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_single_perfect_positive_is_zero(self):
         batch = _batch_from_shifts([[1.0, 0.0]], [[2.0, 0.0]], [1])
         out = batch_loss(batch, HyperParams())
@@ -363,6 +417,36 @@ class TestBatchLoss:
                 x0 = theta0 if which == "theta" else base[which]
                 err = nx.finite_difference_check(f, nx.tensor(x0, dtype=np.float64))
                 assert err < 1e-7, f"{variant}/{which}: err={err}"
+
+    def test_records_one_tape_node(self):
+        """The whole loss is one node; its inputs are the four encoded
+        matrices, plus the params when the L2 term is on."""
+        batch = _batch_from_shifts([[1.0, 0.0]], [[0.5, 0.5]], [1])
+        theta = nx.tensor([1.0, 2.0], dtype=np.float64)
+        rows = (batch.f_qp, batch.f_ap, batch.f_qi, batch.f_ai)
+        for lam, inputs in ((0.0, rows), (0.01, rows + (theta,))):
+            with nx.GradTape() as tape:
+                batch_loss(batch, HyperParams(l2_lambda=lam), params=(theta,))
+            assert len(tape._nodes) == 1
+            assert tape._nodes[0].inputs == inputs
+
+    def test_leading_axes_match_batch_loss(self):
+        """The kernel over (P, B, d) rows gives, point by point, the bits
+        batch_loss gives for each (B, d) batch, L2 term included."""
+        rng = np.random.default_rng(24)
+        P, B, d = 3, 4, 5
+        mats = [rng.normal(size=(P, B, d)) for _ in range(4)]
+        theta = rng.normal(size=(P, 6))
+        labels = np.array([1, 0, 1, 0])
+        for variant in ("hinge", "literal"):
+            hp = HyperParams(margin=0.25, loss_variant=variant, l2_lambda=0.01)
+            fwd = batch_loss_forward(*mats, labels, hp, theta)
+            assert fwd.loss.shape == (P,) and fwd.energies.shape == (P, B)
+            for k in range(P):
+                batch = EncodedBatch(*(nx.tensor(m[k], dtype=np.float64) for m in mats), labels=labels)
+                out = batch_loss(batch, hp, params=(nx.tensor(theta[k], dtype=np.float64),))
+                assert fwd.loss[k] == out.loss.item()
+                np.testing.assert_array_equal(fwd.energies[k], out.energies)
 
     def test_empty_batch_rejected(self):
         with pytest.raises((ShapeError, ValueError)):

@@ -164,6 +164,26 @@ class TestDataErrors:
         assert rc == 2
         assert f"manifest.txt: line {row}: tensor {cols[0]}" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: "[]\n",
+        lambda meta: json.dumps({**meta, "hidden": 4.7}),
+        lambda meta: json.dumps({**meta, "hidden": "four"}),
+        lambda meta: json.dumps({**meta, "input_dim": True}),
+        lambda meta: json.dumps(meta)[:-1],
+        lambda meta: b"\xff" + json.dumps(meta).encode(),
+    ], ids=["not-an-object", "float-hidden", "string-hidden", "bool-input-dim", "malformed-json", "not-utf8"])
+    def test_bad_config_json_names_the_file(self, capsys, checkpoint, corpus_dir, tmp_path, edit):
+        broken = tmp_path / "config"
+        shutil.copytree(checkpoint, broken)
+        meta = json.loads((broken / "config.json").read_text())
+        text = edit(meta)
+        (broken / "config.json").write_bytes(text if isinstance(text, bytes) else text.encode())
+        rc, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
+                                   "--data", str(corpus_dir / "heldout.tsv"),
+                                   "--embeddings", str(corpus_dir / "vectors.vec")])
+        assert rc == 2
+        assert "config.json" in err
+
     def test_bad_env_seed(self, capsys, corpus_dir, monkeypatch):
         monkeypatch.setenv("ANALOGIA_SEED", "not-a-number")
         rc, _, err = _run(capsys, ["gen-quadruples", "--data", str(corpus_dir / "train.tsv")])

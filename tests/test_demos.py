@@ -1,0 +1,26 @@
+"""Smoke test of the demos: each runs to completion in a fresh interpreter.
+
+Demo 04 is left out: it trains for several seconds, and the acceptance
+tests already cover its training path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+DEMOS = ("01_analogy_geometry.py", "02_autodiff_tape.py", "03_encode_and_rank.py",
+         "05_cli_pipeline.py")
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    env["TMPDIR"] = str(tmp_path)  # demo 05 writes its scratch directory there
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / name)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

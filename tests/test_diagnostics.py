@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from analogia import diagnostics as dg
-from analogia import encoder
+from analogia import analogy_core, encoder
 from analogia.analogy_core import HyperParams
 from analogia.encoder import derive_seed
 
@@ -49,6 +49,25 @@ def test_audit_catches_a_wrong_gradient(monkeypatch):
         return (d_W_z * 1.001, d_U_z * 1.001, d_b_z * 1.001, *rest)
 
     monkeypatch.setattr(encoder, "_gru_scan_grads", skewed_scan_grads)
+    errors = dg.full_pipeline_gradient_errors(3, seed=2, dtype=np.float64)
+    assert errors.max() > dg.F64_TOLERANCE
+
+
+def test_audit_catches_a_wrong_loss_gradient(monkeypatch):
+    """Scaling the energy gradient of the loss node's backward pass by
+    1.001 must push the float64 audit past its tolerance.  All four row
+    gradients flow through the energy, so scaling them scales it; the L2
+    gradient and the forward values are untouched."""
+    clean = dg.full_pipeline_gradient_errors(3, seed=2, dtype=np.float64)
+    assert clean.max() < dg.F64_TOLERANCE
+
+    loss_grads = analogy_core._batch_loss_grads
+
+    def skewed_loss_grads(*args):
+        grads = loss_grads(*args)
+        return tuple(g * 1.001 for g in grads[:4]) + grads[4:]
+
+    monkeypatch.setattr(analogy_core, "_batch_loss_grads", skewed_loss_grads)
     errors = dg.full_pipeline_gradient_errors(3, seed=2, dtype=np.float64)
     assert errors.max() > dg.F64_TOLERANCE
 

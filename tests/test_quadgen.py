@@ -10,11 +10,9 @@ from analogia.quadgen import (
     generate_eval_quadruples,
     generate_training_quadruples,
     quadruples_to_tsv,
-    read_quadruples,
     select_prototypes,
-    write_quadruples,
 )
-from analogia.text_data import Candidate, ParseError, QADataset, Question, classify_question, tokenize
+from analogia.text_data import Candidate, QADataset, Question, classify_question, tokenize
 
 
 def _question(qid, text, cands):
@@ -256,11 +254,6 @@ class TestQuadrupleSerialization:
             Quadruple(("when", "x"), ("y",), ("when", "z"), ("w",), 0, "When"),
         ]
 
-    def test_roundtrip(self, tmp_path):
-        p = tmp_path / "quads.tsv"
-        write_quadruples(p, self._quads())
-        assert read_quadruples(p) == self._quads()
-
     def test_serialized_shape(self):
         text = quadruples_to_tsv(self._quads())
         lines = text.strip().split("\n")
@@ -271,18 +264,6 @@ class TestQuadrupleSerialization:
         quad = Quadruple(("a",), ("b",), ("c",), ("d",), None, "Who")
         with pytest.raises(ValueError):
             quadruples_to_tsv([quad])
-
-    def test_bad_column_count(self, tmp_path):
-        p = tmp_path / "quads.tsv"
-        p.write_text("Who\ta\tb\tc\t1\n")
-        with pytest.raises(ParseError, match="line 1"):
-            read_quadruples(p)
-
-    def test_bad_label(self, tmp_path):
-        p = tmp_path / "quads.tsv"
-        p.write_text("Who\ta\tb\tc\td\t7\n")
-        with pytest.raises(ParseError, match="line 1"):
-            read_quadruples(p)
 
     def test_label_validation_in_constructor(self):
         with pytest.raises(ValueError):

@@ -307,7 +307,7 @@ class TestTrainingStep:
         for step in steps:
             assert len(set(step["sentences"])) == len(step["sentences"])
             assert step["encoder_nodes"] <= 9
-            assert step["nodes"] <= 30
+            assert step["nodes"] <= 10
         # prototype sentences repeat, so some step encodes fewer rows than 4B
         assert any(len(step["sentences"]) < 4 * step["batch"].size for step in steps)
 
