@@ -26,7 +26,7 @@ from .analogy_core import (
     energy,
     rank_candidates,
 )
-from .encoder import Dropout, EncoderParams, INFERENCE, derive_seed, encode, encode_batch, sentence_encoder
+from .encoder import Dropout, EncoderParams, INFERENCE, derive_seed, encode, encode_batch, encode_many, sentence_encoder
 from .evaluation import (
     baseline_rank,
     evaluate,
@@ -88,6 +88,7 @@ __all__ = [
     "derive_seed",
     "encode",
     "encode_batch",
+    "encode_many",
     "energy",
     "evaluate",
     "finite_difference_check",

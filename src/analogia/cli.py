@@ -435,3 +435,7 @@ def dispatch(argv) -> int:
 
 def entrypoint() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

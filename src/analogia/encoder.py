@@ -23,9 +23,18 @@ The input projections and biases of all three gates at all real tokens
 are one product; only the recurrent products stay in the time loop.
 ``bigru`` records that kernel at one parameter point as a single tape node,
 rows in input order, whose backward pass is hand-written backpropagation
-through time over the same prefixes.  ``encode_batch`` is
-pack_batch, that node, then dropout, and ``encode`` is a one-row
-encode_batch, so training, inference and the audit share one forward pass.
+through time over the same prefixes.  It computes in the dtype of the
+packed word vectors.  ``encode_batch``, the training path, is pack_batch in
+the parameters' dtype, that node, then dropout.
+
+Inference runs the same kernel in float64: ``encode`` is a one-row batch
+packed in float64, still on the tape, and ``encode_many`` runs untaped
+float64 batches of up to INFERENCE_CHUNK rows.  A row's float32 value
+depends on which rows share its batch (BLAS blocks the products by batch
+size, by up to about 1e-7), while in float64 batched and one-row rows agree
+to about 4e-16; so a sentence scores the same whether it was encoded alone
+or in a batch, and ``encode_many([s])[0]`` is ``encode(s)`` bit for bit.
+Training, inference and the audit share one forward pass.
 
 The 18 parameter tensors live in one flat buffer, ``EncoderParams.flat``,
 in checkpoint order; ``layout`` is the one place that says where each
@@ -150,6 +159,11 @@ class EncoderParams:
         """The same views with a leading point axis of one, as
         bigru_forward takes them."""
         return self.layout.split(self.flat.values[None])
+
+    @cached_property
+    def point_arrays64(self) -> tuple[np.ndarray, ...]:
+        """point_arrays upcast to float64, once per instance, for inference."""
+        return self.layout.split(self.flat.values.astype(np.float64, copy=False)[None])
 
     @property
     def output_dim(self) -> int:
@@ -353,12 +367,14 @@ def _gru_scan_grads(packed: PackedBatch, w, order,
 
 
 def bigru(packed: PackedBatch, params: EncoderParams) -> Tensor:
-    """bigru_forward's (B, 2h) pooled rows at params, recorded as one tape
-    node whose one input is the flat parameter buffer; the word vectors get
-    no gradient."""
-    states, pooled, gates = bigru_forward(packed, params.point_arrays)
+    """bigru_forward's (B, 2h) pooled rows at params, in the dtype of the
+    packed word vectors, recorded as one tape node whose one input is the
+    flat parameter buffer; the word vectors get no gradient.  The tape casts
+    the flat gradient back to the parameters' dtype."""
+    point = params.point_arrays if packed.X.dtype == params.dtype else params.point_arrays64
+    states, pooled, gates = bigru_forward(packed, point)
     states, pooled = states[0], pooled[0]
-    T, h, weights = len(packed.sizes), params.hidden, params.arrays
+    T, h, weights = len(packed.sizes), params.hidden, [w[0] for w in point]
 
     def back(g):
         d_states = _max_pool_grads(packed, states, pooled[packed.order], g)
@@ -371,23 +387,47 @@ def bigru(packed: PackedBatch, params: EncoderParams) -> Tensor:
     return nx._emit(pooled, (params.flat,), back)
 
 
+def _finite(pooled: np.ndarray) -> np.ndarray:
+    if not np.isfinite(pooled).all():
+        raise ValueError("non-finite sentence vectors in batch")
+    return pooled
+
+
+def _encode_packed(packed: PackedBatch, params: EncoderParams, dropout: Dropout) -> Tensor:
+    pooled = bigru(packed, params)
+    _finite(pooled.values)
+    return dropout.apply(pooled)
+
+
 def encode_batch(sentences, table: EmbeddingTable, params: EncoderParams,
                  dropout: Dropout = INFERENCE) -> Tensor:
-    """(B, output_dim) matrix of the sentences' vectors; under dropout each
-    row gets its own derived mask."""
-    pooled = bigru(pack_batch(sentences, table, params.dtype), params)
-    if not np.isfinite(pooled.values).all():
-        raise ValueError("non-finite sentence vectors in batch")
-    return dropout.apply(pooled)
+    """(B, output_dim) matrix of the sentences' vectors in the parameters'
+    dtype; under dropout each row gets its own derived mask."""
+    return _encode_packed(pack_batch(sentences, table, params.dtype), params, dropout)
 
 
 def encode(tokens, table: EmbeddingTable, params: EncoderParams,
            dropout: Dropout = INFERENCE) -> Tensor:
-    """Sentence vector of length params.output_dim for one token sequence:
-    the row of a one-row encode_batch."""
+    """Float64 sentence vector of length params.output_dim for one token
+    sequence, on the tape: the row of a one-row batch packed in float64."""
     if len(tokens) == 0:
         raise ValueError("cannot encode an empty sentence")
-    return nx.gather_rows(encode_batch([tokens], table, params, dropout), 0)
+    return nx.gather_rows(_encode_packed(pack_batch([tokens], table, np.float64), params, dropout), 0)
+
+
+INFERENCE_CHUNK = 64  # rows per encode_many kernel call
+
+
+def encode_many(sentences, table: EmbeddingTable, params: EncoderParams) -> np.ndarray:
+    """(B, output_dim) float64 inference vectors of the sentences, rows in
+    input order, from untaped bigru_forward calls over chunks of at most
+    INFERENCE_CHUNK sentences."""
+    weights = params.point_arrays64
+    chunks = [bigru_forward(pack_batch(sentences[i:i + INFERENCE_CHUNK], table, np.float64), weights)[1][0]
+              for i in range(0, len(sentences), INFERENCE_CHUNK)]
+    if not chunks:
+        return np.empty((0, params.output_dim))
+    return _finite(np.concatenate(chunks))
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -401,7 +441,10 @@ def derive_seed(base: int, *parts) -> int:
 
 
 def sentence_encoder(table: EmbeddingTable, params: EncoderParams):
-    """Inference-mode closure mapping a token sequence to a numpy vector."""
+    """Inference-mode closure mapping a token sequence to a numpy vector.
+    Its ``many`` attribute maps a list of token sequences to their vectors
+    in one encode_many call; evaluation.evaluate uses it."""
     def encode_fn(tokens):
         return encode(tokens, table, params, INFERENCE).values
+    encode_fn.many = lambda sentences: encode_many(sentences, table, params)
     return encode_fn

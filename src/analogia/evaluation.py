@@ -8,6 +8,7 @@ per subset, so all methods report over an identical question set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -154,9 +155,22 @@ def _rank_questions(dataset: QADataset, prototypes, rank) -> EvaluationResult:
     return EvaluationResult(report=_build_report(evaluated, skipped), rankings=tuple(evaluated))
 
 
+def _encode_all(encode_fn, sentences, memo: dict) -> None:
+    """Put the vectors of the distinct sentences not yet in ``memo`` into
+    it, in first-seen order, with one call of encode_fn.many when encode_fn
+    has it and one encode_fn call per sentence when it does not."""
+    missing = [s for s in dict.fromkeys(map(tuple, sentences)) if s not in memo]
+    if not missing:
+        return
+    many = getattr(encode_fn, "many", None)
+    vectors = many(missing) if many is not None else [encode_fn(s) for s in missing]
+    for s, v in zip(missing, vectors):
+        memo[s] = v
+
+
 def _encode_once(encode_fn, memo: dict):
-    """encode_fn called at most once per distinct token tuple; ``memo``
-    keeps its vectors by token tuple."""
+    """The vector in ``memo`` of a token sequence, and encode_fn's, kept
+    there, for one that is not."""
     def encode(tokens):
         key = tuple(tokens)
         vec = memo.get(key)
@@ -173,17 +187,29 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
 
     encode_fn maps a token sequence to a fixed-length numpy vector; both
     the learned encoder and the mean-embedding baseline plug in here, so
-    the ranking logic downstream is byte-for-byte shared.  It is called
-    once per distinct sentence; ``memo``, a dict from token tuples to
-    encode_fn's vectors, carries those across calls with the same
-    encode_fn.
+    the ranking logic downstream is byte-for-byte shared.
+
+    Encoding comes first, then ranking.  The distinct sentences of every
+    prototype and of every scorable question and its candidates are
+    collected in first-seen order, and those not already in ``memo`` are
+    encoded in one call of ``encode_fn.many`` (a list of token tuples to
+    their vectors, in order) when encode_fn has that attribute, as
+    encoder.sentence_encoder does, or else by one encode_fn call each.
+    Ranking then reads the memo, calling rank_candidates once per
+    question.  ``memo``, a dict from token tuples to encode_fn's vectors,
+    carries them across calls with the same encode_fn.
     """
-    encode_fn = _encode_once(encode_fn, {} if memo is None else memo)
-    proto_vecs = {wh: [(encode_fn(pr.question), encode_fn(pr.answer)) for pr in protos]
+    memo = {} if memo is None else memo
+    scorable = [q for q in dataset.questions if _scorable(q, prototypes)]
+    _encode_all(encode_fn, itertools.chain(
+        (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)),
+        (s for q in scorable for s in (q.text, *(c.text for c in q.candidates)))), memo)
+    vec = _encode_once(encode_fn, memo)
+    proto_vecs = {wh: [(vec(pr.question), vec(pr.answer)) for pr in protos]
                   for wh, protos in prototypes.items()}
 
     def rank(q):
-        return rank_candidates(encode_fn(q.text), [encode_fn(c.text) for c in q.candidates],
+        return rank_candidates(vec(q.text), [vec(c.text) for c in q.candidates],
                                proto_vecs[q.wh_type], mode=mode, eps=eps)
 
     return _rank_questions(dataset, prototypes, rank)

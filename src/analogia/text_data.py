@@ -25,6 +25,19 @@ class ConfigError(ValueError):
     """Inputs are well-formed but inconsistent with the requested setup."""
 
 
+def read_lines(path):
+    """(line number from 1, text) of each line of a UTF-8 text file, the
+    line ending stripped.  Bytes that are not UTF-8 raise ParseError naming
+    the file and the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from None
+            yield lineno, line.rstrip("\r\n")
+
+
 def tokenize(raw: str) -> tuple[str, ...]:
     """Lowercase, split on Unicode whitespace, strip ASCII punctuation off
     token edges, drop empties.  Total on any string; idempotent on its own
@@ -131,31 +144,29 @@ def load_embeddings(path, expected_dim: int | None = None, oov_seed: int = 0) ->
     """
     dim: int | None = None
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split()
-            if lineno == 1 and _is_header(fields):
-                dim = int(fields[1])
-                if dim <= 0:
-                    raise ParseError(f"{path}: line 1: header dimension must be positive")
-                continue
-            if len(fields) < 2:
-                raise ParseError(f"{path}: line {lineno}: expected a token and at least one value")
-            token, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ParseError(
-                    f"{path}: line {lineno}: row width {len(values)} does not match dimension {dim}")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float32)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if token not in entries:
-                entries[token] = vec
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if lineno == 1 and _is_header(fields):
+            dim = int(fields[1])
+            if dim <= 0:
+                raise ParseError(f"{path}: line 1: header dimension must be positive")
+            continue
+        if len(fields) < 2:
+            raise ParseError(f"{path}: line {lineno}: expected a token and at least one value")
+        token, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ParseError(
+                f"{path}: line {lineno}: row width {len(values)} does not match dimension {dim}")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float32)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if token not in entries:
+            entries[token] = vec
     if dim is None or not entries:
         raise ParseError(f"{path}: no embedding rows found")
     if expected_dim is not None and dim != expected_dim:
@@ -177,24 +188,22 @@ def load_qa_dataset(path, has_header: bool = False) -> QADataset:
     order: list[str] = []
     texts: dict[str, tuple[str, ...]] = {}
     cands: dict[str, list[Candidate]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if has_header and lineno == 1:
-                continue
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
-            qid, qtext, ctext, label_str = cols
-            if label_str not in ("0", "1"):
-                raise ParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label_str!r}")
-            if qid not in texts:
-                order.append(qid)
-                texts[qid] = tokenize(qtext)
-                cands[qid] = []
-            cands[qid].append(Candidate(text=tokenize(ctext), label=int(label_str)))
+    for lineno, line in read_lines(path):
+        if has_header and lineno == 1:
+            continue
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
+        qid, qtext, ctext, label_str = cols
+        if label_str not in ("0", "1"):
+            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label_str!r}")
+        if qid not in texts:
+            order.append(qid)
+            texts[qid] = tokenize(qtext)
+            cands[qid] = []
+        cands[qid].append(Candidate(text=tokenize(ctext), label=int(label_str)))
     questions = tuple(
         Question(
             question_id=qid,

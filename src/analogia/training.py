@@ -22,7 +22,7 @@ from .encoder import Dropout, EncoderParams, derive_seed, encode_batch, layout
 from .fsio import atomic_write_bytes, atomic_write_text
 from .numerics import GradTape, Tensor, gather_rows
 from .quadgen import Prototype, generate_training_quadruples
-from .text_data import ConfigError, EmbeddingTable, ParseError, QADataset
+from .text_data import ConfigError, EmbeddingTable, ParseError, QADataset, read_lines
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -263,34 +263,32 @@ def load_checkpoint(directory):
     lay = layout(hidden, input_dim)
     want = dict(zip(lay.names, lay.shapes))
     arrays = {}
-    with open(manifest_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            where = f"{manifest_path}: line {lineno}"
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(f"{where}: expected 3 columns")
-            name, shape_str, offset_str = cols
-            try:
-                shape = tuple(int(s) for s in shape_str.split(","))
-                offset = int(offset_str)
-            except ValueError:
-                raise ParseError(f"{where}: tensor {name}: shape {shape_str!r} and offset {offset_str!r} "
-                                 "must be integers") from None
-            if offset < 0 or min(shape) < 0:
-                raise ParseError(f"{where}: tensor {name}: negative shape or offset")
-            if name in want and shape != want[name]:
-                raise ParseError(f"{where}: tensor {name} has shape {shape}, but config.json's "
-                                 f"hidden={hidden}, input_dim={input_dim} need {want[name]}")
-            count = int(np.prod(shape))
-            if offset + 4 * count > len(blob):
-                raise ParseError(f"{where}: tensor {name} exceeds weights file")
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            if not np.isfinite(arr).all():
-                raise ParseError(f"{weights_path}: tensor {name} has non-finite values")
-            arrays[name] = arr
+    for lineno, line in read_lines(manifest_path):
+        if not line:
+            continue
+        where = f"{manifest_path}: line {lineno}"
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ParseError(f"{where}: expected 3 columns")
+        name, shape_str, offset_str = cols
+        try:
+            shape = tuple(int(s) for s in shape_str.split(","))
+            offset = int(offset_str)
+        except ValueError:
+            raise ParseError(f"{where}: tensor {name}: shape {shape_str!r} and offset {offset_str!r} "
+                             "must be integers") from None
+        if offset < 0 or min(shape) < 0:
+            raise ParseError(f"{where}: tensor {name}: negative shape or offset")
+        if name in want and shape != want[name]:
+            raise ParseError(f"{where}: tensor {name} has shape {shape}, but config.json's "
+                             f"hidden={hidden}, input_dim={input_dim} need {want[name]}")
+        count = int(np.prod(shape))
+        if offset + 4 * count > len(blob):
+            raise ParseError(f"{where}: tensor {name} exceeds weights file")
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{weights_path}: tensor {name} has non-finite values")
+        arrays[name] = arr
 
     try:
         flat = np.concatenate([arrays[name] for name in lay.names])
@@ -299,15 +297,13 @@ def load_checkpoint(directory):
     params = EncoderParams(flat=Tensor(flat, dtype=np.float32), hidden=hidden, input_dim=input_dim)
 
     prototypes: dict[str, list[Prototype]] = {}
-    with open(protos_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(f"{protos_path}: line {lineno}: expected 3 columns")
-            wh, q, a = cols
-            prototypes.setdefault(wh, []).append(
-                Prototype(question=tuple(q.split()), answer=tuple(a.split()), wh_type=wh))
+    for lineno, line in read_lines(protos_path):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ParseError(f"{protos_path}: line {lineno}: expected 3 columns")
+        wh, q, a = cols
+        prototypes.setdefault(wh, []).append(
+            Prototype(question=tuple(q.split()), answer=tuple(a.split()), wh_type=wh))
     return params, config, prototypes

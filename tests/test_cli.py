@@ -1,7 +1,8 @@
 """End-to-end checks of the command-line interface.
 
-Everything goes through dispatch() in-process so the suite stays fast; one
-subprocess test confirms the installed console script is wired up.
+Everything goes through dispatch() in-process so the suite stays fast;
+subprocess tests confirm the installed console script and `python -m`
+are wired up.
 """
 
 import json
@@ -183,6 +184,25 @@ class TestDataErrors:
                                    "--embeddings", str(corpus_dir / "vectors.vec")])
         assert rc == 2
         assert "config.json" in err
+
+    @pytest.mark.parametrize("reader", ["dataset", "embeddings", "manifest", "prototypes"])
+    def test_undecodable_line_names_file_and_line(self, capsys, checkpoint, corpus_dir, tmp_path, reader):
+        """One 0xff byte in line 2 of each text file eval reads: status 2,
+        naming that file and line."""
+        broken = tmp_path / "ckpt"
+        shutil.copytree(checkpoint, broken)
+        files = {"dataset": tmp_path / "heldout.tsv", "embeddings": tmp_path / "vectors.vec",
+                 "manifest": broken / "manifest.txt", "prototypes": broken / "prototypes.tsv"}
+        shutil.copy(corpus_dir / "heldout.tsv", files["dataset"])
+        shutil.copy(corpus_dir / "vectors.vec", files["embeddings"])
+        target = files[reader]
+        lines = target.read_bytes().split(b"\n")
+        lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+        target.write_bytes(b"\n".join(lines))
+        rc, _, err = _run(capsys, ["eval", "--checkpoint", str(broken), "--data", str(files["dataset"]),
+                                   "--embeddings", str(files["embeddings"])])
+        assert rc == 2
+        assert f"{target}: line 2: not UTF-8 text" in err
 
     def test_bad_env_seed(self, capsys, corpus_dir, monkeypatch):
         monkeypatch.setenv("ANALOGIA_SEED", "not-a-number")
@@ -411,6 +431,24 @@ def test_console_script_installed():
     proc = subprocess.run(["analogia", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "analogy-based answer ranking" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["analogia", "analogia.cli"])
+def test_python_dash_m_runs_the_cli(module, checkpoint, corpus_dir, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    broken = tmp_path / "broken"
+    shutil.copytree(checkpoint, broken)
+    os.remove(broken / "weights.bin")
+    cmd = [sys.executable, "-m", module]
+    proc = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "analogy-based answer ranking" in proc.stdout
+    proc = subprocess.run(cmd + ["eval", "--checkpoint", str(broken), "--data", str(corpus_dir / "heldout.tsv"),
+                                 "--embeddings", str(corpus_dir / "vectors.vec")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "weights.bin" in proc.stderr
 
 
 def test_module_not_importable_side_effect_free():

@@ -13,12 +13,14 @@ from analogia import numerics as nx
 from analogia.encoder import (
     GATE_NAMES,
     INFERENCE,
+    INFERENCE_CHUNK,
     Dropout,
     EncoderParams,
     bigru_forward,
     derive_seed,
     encode,
     encode_batch,
+    encode_many,
     pack_batch,
     sentence_encoder,
 )
@@ -367,6 +369,70 @@ class TestEncodeBatch:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+class TestEncodeMany:
+    """Untaped float64 inference batches: one-row batches are encode bit
+    for bit, and a row does not depend on the batch it is in."""
+
+    WORDS = ("alpha", "beta", "gamma", "delta", "oov")
+
+    def _sentences(self, count, seed=3):
+        rng = np.random.default_rng(seed)
+        return [tuple(self.WORDS[int(i)] for i in rng.integers(len(self.WORDS), size=int(rng.integers(1, 9))))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_equals_encode_exactly(self, dtype):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=8, dtype=dtype)
+        for sent in self._sentences(12):
+            row = encode_many([sent], table, params)
+            assert row.dtype == np.float64 and row.shape == (1, params.output_dim)
+            np.testing.assert_array_equal(row[0], encode(sent, table, params).values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_agree_across_batch_compositions(self, dtype):
+        """Reversed order, a shifted start that moves every chunk boundary,
+        and one sentence at a time, over more than two chunks."""
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 4, seed=2, dtype=dtype)
+        sentences = self._sentences(2 * INFERENCE_CHUNK + 23)
+        rows = encode_many(sentences, table, params)
+        assert rows.shape == (len(sentences), params.output_dim)
+        np.testing.assert_allclose(encode_many(sentences[::-1], table, params)[::-1], rows, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(encode_many(sentences[17:], table, params), rows[17:], rtol=0, atol=1e-12)
+        single = np.stack([encode(s, table, params).values for s in sentences])
+        np.testing.assert_allclose(single, rows, rtol=0, atol=1e-12)
+
+    def test_records_no_tape_node(self):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=5)
+        with nx.GradTape() as tape:
+            tape.watch(params.flat)
+            encode_many(self._sentences(5), table, params)
+        assert tape._nodes == []
+
+    def test_empty_input_gives_no_rows(self):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=5)
+        assert encode_many([], table, params).shape == (0, params.output_dim)
+
+    def test_non_finite_rows_rejected(self):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=5, dtype=np.float64)
+        flat = params.flat.values.copy()
+        flat[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_many(self._sentences(3), table, replace(params, flat=nx.tensor(flat, dtype=np.float64)))
+
+    def test_float64_weights_are_upcast_once(self):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=5)
+        assert params.point_arrays64 is params.point_arrays64
+        assert all(w.dtype == np.float64 for w in params.point_arrays64)
+        for w64, w in zip(params.point_arrays64, params.point_arrays):
+            np.testing.assert_array_equal(w64, w)
+
+
 def _points(*params_list):
     """The 18 arrays of the parameter sets, stacked over a leading point
     axis."""
@@ -633,3 +699,10 @@ class TestSentenceEncoder:
         fn = sentence_encoder(table, params)
         toks = ("what", "a", "day")
         np.testing.assert_array_equal(fn(toks), encode(toks, table, params, INFERENCE).values)
+
+    def test_many_is_encode_many(self):
+        table = _table(dim=3, seed=2)
+        params = EncoderParams.initialize(input_dim=3, hidden=2, seed=4)
+        sentences = [("what", "a", "day"), ("alpha",), ("beta", "alpha")]
+        np.testing.assert_array_equal(sentence_encoder(table, params).many(sentences),
+                                      encode_many(sentences, table, params))

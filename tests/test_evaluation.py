@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from analogia.encoder import EncoderParams, encode, sentence_encoder
 from analogia.evaluation import (
     REPORT_SUBSETS,
     EvaluationResult,
@@ -407,6 +408,75 @@ class TestEncodeOnce:
             combined = plain.report.row("Combined")
             assert (row.map, row.mrr) == (combined.map, combined.mrr)
         assert sorted(calls) == sorted(set(every_call))
+
+
+def _counting_batches(encode_fn):
+    """A batch encoder over encode_fn that records each batch it is given;
+    calling it one sentence at a time fails."""
+    batches = []
+
+    def fn(tokens):
+        raise AssertionError("evaluate must encode through fn.many")
+
+    def many(sentences):
+        batches.append(list(sentences))
+        return np.stack([encode_fn(s) for s in sentences])
+
+    fn.many = many
+    return fn, batches
+
+
+def _distinct_sentences(ds, prototypes):
+    return ({s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)}
+            | {s for q in ds.questions for s in (q.text, *(c.text for c in q.candidates))})
+
+
+class TestEncodeFirst:
+    def test_one_batch_of_distinct_sentences_per_evaluate(self):
+        table, ds, protos = _toy_world()
+        fn, batches = _counting_batches(mean_embedding_encoder(table))
+        result = evaluate(fn, ds, protos)
+        assert len(batches) == 1
+        assert len(batches[0]) == len(set(batches[0]))
+        # every prototype and every scorable question's sentences; the
+        # unscorable questions' own sentences are left out
+        scorable = _dataset(*(q for q in ds.questions if not q.question_id.startswith("skip")))
+        assert set(batches[0]) == _distinct_sentences(scorable, protos)
+        plain = evaluate(mean_embedding_encoder(table), ds, protos)
+        assert result.report.to_tsv() == plain.report.to_tsv()
+        assert result.rankings == plain.rankings
+
+    def test_memo_skips_encoded_sentences(self):
+        table, ds, protos = _toy_world()
+        fn, batches = _counting_batches(mean_embedding_encoder(table))
+        memo = {}
+        first = evaluate(fn, ds, protos, memo=memo)
+        again = evaluate(fn, ds, protos, memo=memo)
+        assert len(batches) == 1
+        assert again.rankings == first.rankings
+
+    def test_sweep_encodes_each_distinct_sentence_once(self):
+        table, ds = TestSweep()._world()
+        fn, batches = _counting_batches(mean_embedding_encoder(table))
+        res = sweep_prototypes(fn, ds, ds, [1, 2, 3], seed=0)
+        encoded = [s for batch in batches for s in batch]
+        assert len(encoded) == len(set(encoded))
+        assert set(encoded) == _distinct_sentences(ds, select_prototypes(ds, 3, 0))
+        plain = sweep_prototypes(mean_embedding_encoder(table), ds, ds, [1, 2, 3], seed=0)
+        assert res.rows == plain.rows
+
+    def test_learned_encoder_batches_match_per_sentence_encode(self):
+        """sentence_encoder's batches give the report and, to 1e-12, the
+        scores of encoding every sentence alone."""
+        table, ds, protos = _toy_world()
+        params = EncoderParams.initialize(table.dim, 3, seed=1)
+        batched = evaluate(sentence_encoder(table, params), ds, protos)
+        alone = evaluate(lambda tokens: encode(tokens, table, params).values, ds, protos)
+        assert batched.report.to_tsv() == alone.report.to_tsv()
+        for b, a in zip(batched.rankings, alone.rankings):
+            assert [e.candidate_index for e in b.ranking.entries] == [e.candidate_index for e in a.ranking.entries]
+            np.testing.assert_allclose([e.score for e in b.ranking.entries],
+                                       [e.score for e in a.ranking.entries], rtol=0, atol=1e-12)
 
 
 class TestRankTsv:
