@@ -36,6 +36,17 @@ to about 4e-16; so a sentence scores the same whether it was encoded alone
 or in a batch, and ``encode_many([s])[0]`` is ``encode(s)`` bit for bit.
 Training, inference and the audit share one forward pass.
 
+The chunks are independent, so from a hidden width of PARALLEL_MIN_HIDDEN
+on, ``encode_many`` packs and encodes two or more chunks on two threads
+(numpy releases the GIL inside BLAS and its ufunc loops) and holds
+OpenBLAS to one thread through its C API until they end, restoring its
+count after.  Without that limit the pool's threads and OpenBLAS's compete
+for the CPUs and the pool loses.  When OpenBLAS's thread count cannot be
+set, the chunks run one after another, as they do below the crossover.
+Float64 GEMMs of 32 or more rows can differ by about 1e-14 between one and
+two BLAS threads; at hidden 150 the rows moved by at most 4.4e-16 against
+the sequential path.
+
 The 18 parameter tensors live in one flat buffer, ``EncoderParams.flat``,
 in checkpoint order; ``layout`` is the one place that says where each
 tensor sits, and splits a buffer with leading axes into the 18 arrays.
@@ -50,8 +61,9 @@ import bisect
 import hashlib
 import itertools
 import math
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -417,17 +429,94 @@ def encode(tokens, table: EmbeddingTable, params: EncoderParams,
 
 INFERENCE_CHUNK = 64  # rows per encode_many kernel call
 
+# Hidden width from which encode_many runs its chunks on two threads.  Its
+# gain comes from the time loop: the per-step products (rows, h) @ (h, 2h)
+# are too small to gain from OpenBLAS's own threads, so two chunks at one
+# BLAS thread each beat one chunk at two, once the products outweigh the
+# Python work of a step.  Two-thread over sequential encode_many time on 2
+# CPUs (Xeon, OpenBLAS 0.3.31, numpy 2.4), 300-600 sentences of 3-40
+# tokens, median of 6 alternating runs per side: hidden 16 0.80x; 32
+# 0.70-1.01x; 48 0.83-1.00x; 64 0.88-1.20x (median 1.14x over seven
+# runs); 96-150 1.14-1.45x.
+PARALLEL_MIN_HIDDEN = 64
+INFERENCE_THREADS = 2
+
+
+@cache
+def _openblas_threads():
+    """(set, get) for the thread count of the OpenBLAS that numpy loaded,
+    or None when it cannot be found."""
+    import ctypes
+    import glob
+    import os
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(INFERENCE_THREADS, thread_name_prefix="analogia-encode")
+
+
+# The OpenBLAS thread count is process-wide: one caller at a time holds it
+# at one thread, and a concurrent caller runs its chunks sequentially.
+_blas_limit = threading.Lock()
+
 
 def encode_many(sentences, table: EmbeddingTable, params: EncoderParams) -> np.ndarray:
     """(B, output_dim) float64 inference vectors of the sentences, rows in
     input order, from untaped bigru_forward calls over chunks of at most
-    INFERENCE_CHUNK sentences."""
+    INFERENCE_CHUNK sentences.  From PARALLEL_MIN_HIDDEN on, two or more
+    chunks run on INFERENCE_THREADS threads with OpenBLAS held to one
+    thread, when its thread count can be set."""
     weights = params.point_arrays64
-    chunks = [bigru_forward(pack_batch(sentences[i:i + INFERENCE_CHUNK], table, np.float64), weights)[1][0]
-              for i in range(0, len(sentences), INFERENCE_CHUNK)]
-    if not chunks:
+
+    def run(start):
+        return bigru_forward(pack_batch(sentences[start:start + INFERENCE_CHUNK], table, np.float64),
+                             weights)[1][0]
+
+    starts = range(0, len(sentences), INFERENCE_CHUNK)
+    if not starts:
         return np.empty((0, params.output_dim))
+    blas = len(starts) > 1 and params.hidden >= PARALLEL_MIN_HIDDEN and _openblas_threads()
+    if blas and _blas_limit.acquire(blocking=False):
+        try:
+            chunks = _on_pool(run, starts, *blas)
+        finally:
+            _blas_limit.release()
+    else:
+        chunks = [run(start) for start in starts]
     return _finite(np.concatenate(chunks))
+
+
+def _on_pool(fn, args, set_threads, get_threads) -> list:
+    """[fn(a) for a in args] on the pool's threads, with OpenBLAS held to
+    one thread until every call has ended."""
+    from concurrent.futures import wait
+
+    before = get_threads()
+    set_threads(1)
+    try:
+        jobs = [_pool().submit(fn, a) for a in args]
+        try:
+            return [job.result() for job in jobs]
+        finally:
+            for job in jobs:
+                job.cancel()
+            wait(jobs)
+    finally:
+        set_threads(before)
 
 
 def derive_seed(base: int, *parts) -> int:

@@ -107,7 +107,8 @@ class EmbeddingTable:
             return vec
         vec = self._oov.get(token)
         if vec is None:
-            vec = self._oov[token] = self._oov_vector(token)
+            # concurrent callers that both missed keep the first stored array
+            vec = self._oov.setdefault(token, self._oov_vector(token))
         return vec
 
     def _oov_vector(self, token: str) -> np.ndarray:

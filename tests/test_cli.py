@@ -458,3 +458,15 @@ def test_module_not_importable_side_effect_free():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "clean"
+
+
+def test_import_starts_no_thread_and_loads_no_pool():
+    # the encoder imports concurrent.futures and starts its workers only
+    # when encode_many first runs chunks on threads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    code = ("import sys, threading; import analogia.cli; "
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]

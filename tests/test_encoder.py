@@ -3,12 +3,14 @@ and gradient checks through the whole recurrence.
 """
 
 import math
+import threading
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from analogia import encoder
 from analogia import numerics as nx
 from analogia.encoder import (
     GATE_NAMES,
@@ -369,22 +371,22 @@ class TestEncodeBatch:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def _sentences(count, seed=3, words=("alpha", "beta", "gamma", "delta", "oov")):
+    """Sentences of 1-8 tokens over _table()'s words and one OOV token."""
+    rng = np.random.default_rng(seed)
+    return [tuple(words[int(i)] for i in rng.integers(len(words), size=int(rng.integers(1, 9))))
+            for _ in range(count)]
+
+
 class TestEncodeMany:
     """Untaped float64 inference batches: one-row batches are encode bit
     for bit, and a row does not depend on the batch it is in."""
-
-    WORDS = ("alpha", "beta", "gamma", "delta", "oov")
-
-    def _sentences(self, count, seed=3):
-        rng = np.random.default_rng(seed)
-        return [tuple(self.WORDS[int(i)] for i in rng.integers(len(self.WORDS), size=int(rng.integers(1, 9))))
-                for _ in range(count)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_row_equals_encode_exactly(self, dtype):
         table = _table()
         params = EncoderParams.initialize(table.dim, 3, seed=8, dtype=dtype)
-        for sent in self._sentences(12):
+        for sent in _sentences(12):
             row = encode_many([sent], table, params)
             assert row.dtype == np.float64 and row.shape == (1, params.output_dim)
             np.testing.assert_array_equal(row[0], encode(sent, table, params).values)
@@ -395,7 +397,7 @@ class TestEncodeMany:
         and one sentence at a time, over more than two chunks."""
         table = _table()
         params = EncoderParams.initialize(table.dim, 4, seed=2, dtype=dtype)
-        sentences = self._sentences(2 * INFERENCE_CHUNK + 23)
+        sentences = _sentences(2 * INFERENCE_CHUNK + 23)
         rows = encode_many(sentences, table, params)
         assert rows.shape == (len(sentences), params.output_dim)
         np.testing.assert_allclose(encode_many(sentences[::-1], table, params)[::-1], rows, rtol=0, atol=1e-12)
@@ -408,7 +410,7 @@ class TestEncodeMany:
         params = EncoderParams.initialize(table.dim, 3, seed=5)
         with nx.GradTape() as tape:
             tape.watch(params.flat)
-            encode_many(self._sentences(5), table, params)
+            encode_many(_sentences(5), table, params)
         assert tape._nodes == []
 
     def test_empty_input_gives_no_rows(self):
@@ -422,7 +424,7 @@ class TestEncodeMany:
         flat = params.flat.values.copy()
         flat[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            encode_many(self._sentences(3), table, replace(params, flat=nx.tensor(flat, dtype=np.float64)))
+            encode_many(_sentences(3), table, replace(params, flat=nx.tensor(flat, dtype=np.float64)))
 
     def test_float64_weights_are_upcast_once(self):
         table = _table()
@@ -431,6 +433,100 @@ class TestEncodeMany:
         assert all(w.dtype == np.float64 for w in params.point_arrays64)
         for w64, w in zip(params.point_arrays64, params.point_arrays):
             np.testing.assert_array_equal(w64, w)
+
+
+class TestEncodeManyThreads:
+    """Chunks on the thread pool, with the hidden-width crossover moved to
+    0: the same rows, in input order, and the same errors as the
+    sequential path, with OpenBLAS's thread count restored."""
+
+    COUNT = 2 * INFERENCE_CHUNK + 22
+
+    @pytest.fixture
+    def blas_threads(self):
+        """OpenBLAS's thread-count getter, with the count set to 2 (one that
+        the one-thread limit changes) for the test and restored after it."""
+        control = encoder._openblas_threads()
+        if control is None:
+            pytest.skip("no OpenBLAS thread control: encode_many stays sequential")
+        set_threads, get_threads = control
+        before = get_threads()
+        set_threads(2)
+        yield get_threads
+        set_threads(before)
+
+    @pytest.fixture
+    def threads_used(self, monkeypatch):
+        """Names of the threads that packed a chunk."""
+        names = []
+
+        def recording_pack_batch(*args):
+            names.append(threading.current_thread().name)
+            return pack_batch(*args)
+
+        monkeypatch.setattr(encoder, "pack_batch", recording_pack_batch)
+        return names
+
+    def _encode(self, monkeypatch, crossover, sentences, table, params):
+        monkeypatch.setattr(encoder, "PARALLEL_MIN_HIDDEN", crossover)
+        return encode_many(sentences, table, params)
+
+    def _case(self, count=COUNT):
+        table = _table(dim=5)
+        params = EncoderParams.initialize(table.dim, 6, seed=4)
+        return _sentences(count, seed=9), table, params
+
+    def test_rows_equal_the_sequential_path_in_input_order(self, blas_threads, threads_used, monkeypatch):
+        sentences, table, params = self._case()
+        rows = self._encode(monkeypatch, 0, sentences, table, params)
+        assert blas_threads() == 2
+        assert len(threads_used) == 3 and all(n.startswith("analogia-encode") for n in threads_used)
+        sequential = self._encode(monkeypatch, math.inf, sentences, table, params)
+        assert threads_used[3:] == [threading.current_thread().name] * 3
+        assert rows.shape == (len(sentences), params.output_dim)
+        np.testing.assert_allclose(rows, sequential, rtol=0, atol=1e-12)
+        single = np.stack([encode(s, table, params).values for s in sentences])
+        np.testing.assert_allclose(rows, single, rtol=0, atol=1e-12)
+
+    def test_one_chunk_stays_encode_bit_for_bit(self, blas_threads, threads_used, monkeypatch):
+        sentences, table, params = self._case(5)
+        for sent in sentences:
+            row = self._encode(monkeypatch, 0, [sent], table, params)[0]
+            np.testing.assert_array_equal(row, encode(sent, table, params).values)
+        assert set(threads_used) == {threading.current_thread().name}
+
+    def _errors(self, monkeypatch, sentences, table, params, blas_threads):
+        """The exception of the threaded and of the sequential path, with
+        the BLAS thread count checked unchanged after each."""
+        raised = []
+        for crossover in (0, math.inf):
+            with pytest.raises(ValueError) as info:
+                self._encode(monkeypatch, crossover, sentences, table, params)
+            assert blas_threads() == 2
+            raised.append(info.value)
+        return raised
+
+    def test_empty_sentence_in_a_later_chunk(self, blas_threads, monkeypatch):
+        sentences, table, params = self._case()
+        sentences[2 * INFERENCE_CHUNK + 3] = ()
+        threaded, sequential = self._errors(monkeypatch, sentences, table, params, blas_threads)
+        assert type(threaded) is type(sequential)
+        assert str(threaded) == str(sequential) == "cannot encode an empty sentence (batch row 3)"
+
+    def test_non_finite_row_in_a_later_chunk(self, blas_threads, monkeypatch):
+        sentences, table, params = self._case()
+        table = EmbeddingTable(dim=table.dim, entries={**table.entries, "nan": np.full(table.dim, np.nan, np.float32)})
+        sentences[INFERENCE_CHUNK + 7] = ("alpha", "nan")
+        threaded, sequential = self._errors(monkeypatch, sentences, table, params, blas_threads)
+        assert type(threaded) is type(sequential)
+        assert str(threaded) == str(sequential) == "non-finite sentence vectors in batch"
+
+    def test_below_the_crossover_no_thread_starts(self, threads_used, monkeypatch):
+        sentences, table, params = self._case()
+        running = threading.active_count()
+        self._encode(monkeypatch, params.hidden + 1, sentences, table, params)
+        assert threading.active_count() == running
+        assert threads_used == [threading.current_thread().name] * 3
 
 
 def _points(*params_list):

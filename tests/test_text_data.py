@@ -1,6 +1,7 @@
 """Tokenizer, embedding table, and QA dataset loader behavior."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -194,6 +195,33 @@ class TestOovLookup:
         vec = self._table().lookup("zzz")
         with pytest.raises(ValueError):
             vec[0] = 9.0
+
+    def test_concurrent_misses_share_one_array(self, monkeypatch):
+        """Two threads that both miss the memo for a token get the same
+        array: each draw waits until the other thread has missed too."""
+        table = self._table()
+        tokens = [f"race-{i}" for i in range(50)]
+        want = {token: self._table().lookup(token) for token in tokens}
+        both_missed = threading.Barrier(2, timeout=10)
+        draw = EmbeddingTable._oov_vector
+
+        def draw_once_both_missed(self, token):
+            both_missed.wait()
+            return draw(self, token)
+
+        monkeypatch.setattr(EmbeddingTable, "_oov_vector", draw_once_both_missed)
+        got = ([], [])
+        threads = [threading.Thread(target=lambda out: out.extend(table.lookup(t) for t in tokens), args=(out,))
+                   for out in got]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got[0]) == len(got[1]) == len(tokens)
+        for token, a, b in zip(tokens, *got):
+            assert a is b is table.lookup(token)
+            np.testing.assert_array_equal(a, want[token])
 
 
 class TestQaDatasetLoading:
