@@ -26,7 +26,7 @@ from .analogy_core import (
     energy,
     rank_candidates,
 )
-from .encoder import Dropout, EncoderParams, INFERENCE, derive_seed, encode, encode_batch, encode_many, sentence_encoder
+from .encoder import EncoderParams, derive_seed, encode, encode_batch, encode_many, sentence_encoder
 from .evaluation import (
     baseline_rank,
     evaluate,
@@ -63,10 +63,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DISSIMILARITY_MODE",
     "ENERGY_MODE",
-    "INFERENCE",
     "Candidate",
     "ConfigError",
-    "Dropout",
     "EmbeddingTable",
     "EncoderParams",
     "GradTape",

@@ -12,7 +12,8 @@ records it as a single tape node whose backward pass is
 ``_batch_loss_grads``, and the gradient audit in ``diagnostics`` calls the
 same kernel for its numeric side.  The scalar ``energy`` and
 ``contrastive_loss`` stay as reference oracles, and ``rank_candidates``
-keeps its own evaluation formula.
+keeps its own evaluation formula.  The loss and the ranking read one
+degeneracy threshold, COSINE_EPSILON.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ RANK_MODES = (ENERGY_MODE, DISSIMILARITY_MODE)
 
 LOSS_VARIANTS = ("hinge", "literal")
 
+# A shift vector shorter than this has no usable direction: its cosine
+# scores the neutral 0, in training and in ranking alike.
+COSINE_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Loss-shape knobs.
+    """The contrastive loss's settings.
 
     ``margin`` is where the dissimilar branch stops pushing (hinge) or pulls
     toward (literal).  ``l2_lambda`` scales an explicit parameter-norm term
@@ -45,7 +50,6 @@ class HyperParams:
     margin: float = 0.0
     loss_variant: str = "hinge"
     l2_lambda: float = 0.0
-    cosine_epsilon: float = 1e-8
 
     def __post_init__(self):
         if not -1.0 <= self.margin <= 1.0:
@@ -54,8 +58,6 @@ class HyperParams:
             raise ConfigError(f"loss_variant must be one of {LOSS_VARIANTS}, got {self.loss_variant!r}")
         if self.l2_lambda < 0:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.cosine_epsilon <= 0:
-            raise ConfigError(f"cosine_epsilon must be > 0, got {self.cosine_epsilon}")
 
 
 def _as_vector(name: str, v) -> np.ndarray:
@@ -90,7 +92,7 @@ class ShiftPair:
         object.__setattr__(self, "f_cd", cd)
 
 
-def energy(pair: ShiftPair, eps: float = 1e-8) -> tuple[float, bool]:
+def energy(pair: ShiftPair, eps: float = COSINE_EPSILON) -> tuple[float, bool]:
     """Cosine of the two shifts, clipped to [-1, 1].
 
     A shift whose norm falls below eps carries no usable direction; the
@@ -141,13 +143,14 @@ class RankedList:
 
 
 def rank_candidates(question_vec, candidate_vecs, prototype_vecs,
-                    mode: str = ENERGY_MODE, eps: float = 1e-8) -> RankedList:
+                    mode: str = ENERGY_MODE) -> RankedList:
     """Score each candidate against every prototype and sort.
 
     Energy mode keeps each candidate's best (maximum) cosine over
-    prototypes and sorts descending; dissimilarity mode keeps the minimum
-    analogical dissimilarity and sorts ascending.  Score ties preserve the
-    original candidate order, and prototype ties go to the lowest index.
+    prototypes, 0 where a shift is shorter than COSINE_EPSILON, and sorts
+    descending; dissimilarity mode keeps the minimum analogical
+    dissimilarity and sorts ascending.  Score ties preserve the original
+    candidate order, and prototype ties go to the lowest index.
     """
     if mode not in RANK_MODES:
         raise ValueError(f"mode must be one of {RANK_MODES}, got {mode!r}")
@@ -172,7 +175,7 @@ def rank_candidates(question_vec, candidate_vecs, prototype_vecs,
         dots = shifts @ P.T
         ns = np.linalg.norm(shifts, axis=1)
         np_ = np.linalg.norm(P, axis=1)
-        degen = (ns[:, None] < eps) | (np_[None, :] < eps)
+        degen = (ns[:, None] < COSINE_EPSILON) | (np_[None, :] < COSINE_EPSILON)
         denom = np.where(degen, 1.0, ns[:, None] * np_[None, :])
         E = np.clip(dots / denom, -1.0, 1.0)
         E[degen] = 0.0
@@ -234,7 +237,7 @@ class LossForward(NamedTuple):
 
     loss: np.ndarray  # (...), mean loss per point, L2 term included
     energies: np.ndarray  # (..., B), 0.0 where degenerate
-    usable: np.ndarray  # (..., B) bool, both shift norms reach cosine_epsilon
+    usable: np.ndarray  # (..., B) bool, both shift norms reach COSINE_EPSILON
     shifts: np.ndarray  # (2, ..., B, d): f_qp - f_ap, then f_qi - f_ai
     sq: np.ndarray  # (2, ..., B) squared shift norms
     dots: np.ndarray
@@ -248,11 +251,11 @@ def batch_loss_forward(f_qp, f_ap, f_qi, f_ai, labels, hp: HyperParams, theta=No
     """The mean contrastive loss of rows shaped (..., B, d), in their dtype.
 
     Energies are cosines of the two per-row shifts.  Rows where either
-    shift norm falls below hp.cosine_epsilon are scored 0, the neutral
-    score of energy().  With hp.l2_lambda > 0 and a flat ``theta`` of shape
+    shift norm falls below COSINE_EPSILON are scored 0, the neutral score
+    of energy().  With hp.l2_lambda > 0 and a flat ``theta`` of shape
     (..., F), l2_lambda times its squared norm is added per point.
     """
-    eps = hp.cosine_epsilon
+    eps = COSINE_EPSILON
     shifts = np.stack((f_qp - f_ap, f_qi - f_ai))
     sq = (shifts * shifts).sum(axis=-1)
     dots = (shifts[0] * shifts[1]).sum(axis=-1)
@@ -294,22 +297,17 @@ def _batch_loss_grads(g, fwd: LossForward, hp: HyperParams, theta=None) -> tuple
     return grads
 
 
-def batch_loss(batch: EncodedBatch, hp: HyperParams, params=()) -> BatchLossResult:
+def batch_loss(batch: EncodedBatch, hp: HyperParams, theta: Tensor | None = None) -> BatchLossResult:
     """Mean contrastive loss over a batch as one node on the active tape:
     batch_loss_forward's value, _batch_loss_grads' backward pass (degenerate
-    rows get no gradient).  With l2_lambda > 0 the squared norms of
-    ``params`` are added, and the params are inputs of the node too."""
+    rows get no gradient).  With l2_lambda > 0 the squared norm of the flat
+    parameter buffer ``theta`` is added, and theta is an input of the node
+    too."""
     rows = (batch.f_qp, batch.f_ap, batch.f_qi, batch.f_ai)
-    params = tuple(params) if hp.l2_lambda > 0 else ()
-    theta = np.concatenate([p.values.reshape(-1) for p in params]) if params else None
-    fwd = batch_loss_forward(*(t.values for t in rows), batch.labels, hp, theta)
-    cuts = np.cumsum([p.size for p in params])[:-1]
-
-    def back(g):
-        grads = _batch_loss_grads(g, fwd, hp, theta)
-        flat = np.split(grads[4], cuts) if params else ()
-        return grads[:4] + tuple(f.reshape(p.shape) for f, p in zip(flat, params))
-
-    loss = nx._emit(np.asarray(fwd.loss), rows + params, back)
+    theta = theta if hp.l2_lambda > 0 else None
+    flat = None if theta is None else theta.values
+    fwd = batch_loss_forward(*(t.values for t in rows), batch.labels, hp, flat)
+    inputs = rows if theta is None else rows + (theta,)
+    loss = nx._emit(np.asarray(fwd.loss), inputs, lambda g: _batch_loss_grads(g, fwd, hp, flat))
     return BatchLossResult(loss=loss, energies=fwd.energies.astype(np.float64),
                            degenerate_count=int(np.count_nonzero(~fwd.usable)))

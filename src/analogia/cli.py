@@ -23,7 +23,7 @@ from .encoder import derive_seed, sentence_encoder
 from .evaluation import baseline_rank, evaluate, random_rank, rankings_to_tsv, sweep_prototypes
 from .fsio import atomic_write_text
 from .quadgen import generate_training_quadruples, quadruples_to_tsv, select_prototypes
-from .text_data import WH_TYPES, ConfigError, load_embeddings, load_qa_dataset
+from .text_data import WH_TYPES, ConfigError, load_embeddings, load_qa_dataset, read_lines
 from .training import (
     TrainConfig,
     TrainingError,
@@ -83,22 +83,21 @@ def _parse_bool(text: str) -> bool:
 def read_config_file(path) -> dict[str, str]:
     """Flat key-value text: `key value` or `key = value`, # comments."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}: line {lineno}: expected 'key value' or 'key=value'")
-                key, value = parts
-            key = key.strip().lower().replace("-", "_")
-            if not key:
-                raise ConfigError(f"{path}: line {lineno}: empty key")
-            values[key] = value.strip()
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" in line:
+            key, _, value = line.partition("=")
+        else:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ConfigError(f"{path}: line {lineno}: expected 'key value' or 'key=value'")
+            key, value = parts
+        key = key.strip().lower().replace("-", "_")
+        if not key:
+            raise ConfigError(f"{path}: line {lineno}: empty key")
+        values[key] = value.strip()
     return values
 
 
@@ -276,10 +275,15 @@ def _emit_text(path, text) -> None:
         _log.info("wrote %s", path)
 
 
-def _load_inputs(cfg, need_embeddings=True):
-    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
-    table = load_embeddings(cfg["embeddings"]) if need_embeddings else None
-    return dataset, table
+def _load_inputs(cfg):
+    return load_qa_dataset(cfg["data"], has_header=cfg["has_header"]), load_embeddings(cfg["embeddings"])
+
+
+def _proto_dataset(cfg, dataset):
+    """The --proto-data dataset, or the --data one, ``dataset``, when
+    --proto-data is unset or names the same file."""
+    path = cfg["proto_data"] or cfg["data"]
+    return dataset if path == cfg["data"] else load_qa_dataset(path, has_header=cfg["has_header"])
 
 
 def _select(cfg, dataset):
@@ -289,16 +293,24 @@ def _select(cfg, dataset):
 
 
 def _checkpoint_encoder(cfg):
-    params, meta, protos = load_checkpoint(cfg["checkpoint"])
+    """The checkpoint's sentence encoder over --embeddings, and its
+    prototypes."""
+    params, _, protos = load_checkpoint(cfg["checkpoint"])
     table = load_embeddings(cfg["embeddings"])
     if params.input_dim != table.dim:
         raise ConfigError(
             f"embedding dimension {table.dim} does not match checkpoint input_dim {params.input_dim}")
-    return sentence_encoder(table, params), table, protos, meta
+    return sentence_encoder(table, params), protos
+
+
+def _evaluate_checkpoint(cfg):
+    encode_fn, protos = _checkpoint_encoder(cfg)
+    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
+    return evaluate(encode_fn, dataset, protos, mode=cfg["mode"])
 
 
 def _cmd_gen_quadruples(cfg) -> int:
-    dataset, _ = _load_inputs(cfg, need_embeddings=False)
+    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
     protos = _select(cfg, dataset)
     quads = generate_training_quadruples(dataset, protos,
                                          negatives_per_positive=cfg["negatives_per_positive"],
@@ -339,27 +351,18 @@ def _cmd_train(cfg) -> int:
 
 
 def _cmd_rank(cfg) -> int:
-    encode_fn, _, protos, _ = _checkpoint_encoder(cfg)
-    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
-    result = evaluate(encode_fn, dataset, protos, mode=cfg["mode"])
-    _emit_text(cfg["out"], rankings_to_tsv(result.rankings))
+    _emit_text(cfg["out"], rankings_to_tsv(_evaluate_checkpoint(cfg).rankings))
     return 0
 
 
 def _cmd_eval(cfg) -> int:
-    encode_fn, _, protos, _ = _checkpoint_encoder(cfg)
-    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
-    result = evaluate(encode_fn, dataset, protos, mode=cfg["mode"])
-    _emit_text(cfg["report"], result.report.to_tsv())
+    _emit_text(cfg["report"], _evaluate_checkpoint(cfg).report.to_tsv())
     return 0
 
 
 def _cmd_baseline(cfg) -> int:
     dataset, table = _load_inputs(cfg)
-    proto_path = cfg["proto_data"] or cfg["data"]
-    proto_dataset = (dataset if proto_path == cfg["data"]
-                     else load_qa_dataset(proto_path, has_header=cfg["has_header"]))
-    protos = _select(cfg, proto_dataset)
+    protos = _select(cfg, _proto_dataset(cfg, dataset))
     if cfg["method"] == "mean":
         result = baseline_rank(dataset, table, protos, mode=cfg["mode"])
     else:
@@ -369,12 +372,9 @@ def _cmd_baseline(cfg) -> int:
 
 
 def _cmd_sweep(cfg) -> int:
-    encode_fn, _, _, _ = _checkpoint_encoder(cfg)
+    encode_fn, _ = _checkpoint_encoder(cfg)
     dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
-    proto_path = cfg["proto_data"] or cfg["data"]
-    proto_dataset = (dataset if proto_path == cfg["data"]
-                     else load_qa_dataset(proto_path, has_header=cfg["has_header"]))
-    result = sweep_prototypes(encode_fn, dataset, proto_dataset, p_values=cfg["p"],
+    result = sweep_prototypes(encode_fn, dataset, _proto_dataset(cfg, dataset), p_values=cfg["p"],
                               seed=cfg["seed"], mode=cfg["mode"])
     _emit_text(cfg["out"], result.to_tsv())
     return 0

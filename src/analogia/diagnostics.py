@@ -61,7 +61,7 @@ def _loss(table, sentences, params, y, hp):
     stacked = encode_batch(sentences, table, params)
     rows = {role: nx.gather_rows(stacked, [i]) for i, role in enumerate(_ROLES)}
     batch = EncodedBatch(labels=np.array([y]), **rows)
-    return batch_loss(batch, hp, params=(params.flat,))
+    return batch_loss(batch, hp, params.flat)
 
 
 def _quadruple_loss(pooled: np.ndarray, y: int, hp: HyperParams, theta=None):

@@ -23,18 +23,16 @@ The input projections and biases of all three gates at all real tokens
 are one product; only the recurrent products stay in the time loop.
 ``bigru`` records that kernel at one parameter point as a single tape node,
 rows in input order, whose backward pass is hand-written backpropagation
-through time over the same prefixes.  It computes in the dtype of the
-packed word vectors.  ``encode_batch``, the training path, is pack_batch in
-the parameters' dtype, that node, then dropout.
+through time over the same prefixes.  ``encode_batch``, the training path,
+is pack_batch in the parameters' dtype, then that node.
 
-Inference runs the same kernel in float64: ``encode`` is a one-row batch
-packed in float64, still on the tape, and ``encode_many`` runs untaped
-float64 batches of up to INFERENCE_CHUNK rows.  A row's float32 value
-depends on which rows share its batch (BLAS blocks the products by batch
-size, by up to about 1e-7), while in float64 batched and one-row rows agree
-to about 4e-16; so a sentence scores the same whether it was encoded alone
-or in a batch, and ``encode_many([s])[0]`` is ``encode(s)`` bit for bit.
-Training, inference and the audit share one forward pass.
+Inference runs the same kernel untaped in float64: ``encode_many`` runs
+batches of up to INFERENCE_CHUNK rows, and ``encode`` is its row for a
+one-sentence list.  A row's float32 value depends on which rows share its
+batch (BLAS blocks the products by batch size, by up to about 1e-7), while
+in float64 batched and one-row rows agree to about 4e-16; so a sentence
+scores the same whether it was encoded alone or in a batch.  Training,
+inference and the audit share one forward pass.
 
 The chunks are independent, so from a hidden width of PARALLEL_MIN_HIDDEN
 on, ``encode_many`` packs and encodes two or more chunks on two threads
@@ -74,37 +72,6 @@ from .text_data import ConfigError, EmbeddingTable
 
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 DIRECTIONS = ("forward", "backward")
-
-
-@dataclass(frozen=True)
-class Dropout:
-    """Inverted dropout on the pooled sentence vector: zero with
-    probability rate, scale survivors by 1/(1-rate).  Inactive unless
-    training."""
-
-    rate: float = 0.0
-    training: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.rate}")
-
-    def mask(self, shape) -> np.ndarray | None:
-        """Pre-scaled keep mask, or None when dropout is a no-op."""
-        if not self.training or self.rate == 0.0:
-            return None
-        rng = np.random.default_rng(self.seed)
-        keep = rng.random(shape) >= self.rate
-        return keep.astype(np.float64) / (1.0 - self.rate)
-
-    def apply(self, m: Tensor) -> Tensor:
-        """m times its mask, on the tape; m itself when dropout is a no-op."""
-        mask = self.mask(m.shape)
-        return m if mask is None else nx.hadamard(m, nx.tensor(mask, dtype=m.dtype))
-
-
-INFERENCE = Dropout()
 
 
 class Layout(NamedTuple):
@@ -379,14 +346,12 @@ def _gru_scan_grads(packed: PackedBatch, w, order,
 
 
 def bigru(packed: PackedBatch, params: EncoderParams) -> Tensor:
-    """bigru_forward's (B, 2h) pooled rows at params, in the dtype of the
-    packed word vectors, recorded as one tape node whose one input is the
-    flat parameter buffer; the word vectors get no gradient.  The tape casts
-    the flat gradient back to the parameters' dtype."""
-    point = params.point_arrays if packed.X.dtype == params.dtype else params.point_arrays64
-    states, pooled, gates = bigru_forward(packed, point)
+    """bigru_forward's (B, 2h) pooled rows at params, in their dtype,
+    recorded as one tape node whose one input is the flat parameter buffer;
+    the word vectors get no gradient."""
+    states, pooled, gates = bigru_forward(packed, params.point_arrays)
     states, pooled = states[0], pooled[0]
-    T, h, weights = len(packed.sizes), params.hidden, [w[0] for w in point]
+    T, h, weights = len(packed.sizes), params.hidden, params.arrays
 
     def back(g):
         d_states = _max_pool_grads(packed, states, pooled[packed.order], g)
@@ -405,26 +370,18 @@ def _finite(pooled: np.ndarray) -> np.ndarray:
     return pooled
 
 
-def _encode_packed(packed: PackedBatch, params: EncoderParams, dropout: Dropout) -> Tensor:
-    pooled = bigru(packed, params)
-    _finite(pooled.values)
-    return dropout.apply(pooled)
-
-
-def encode_batch(sentences, table: EmbeddingTable, params: EncoderParams,
-                 dropout: Dropout = INFERENCE) -> Tensor:
+def encode_batch(sentences, table: EmbeddingTable, params: EncoderParams) -> Tensor:
     """(B, output_dim) matrix of the sentences' vectors in the parameters'
-    dtype; under dropout each row gets its own derived mask."""
-    return _encode_packed(pack_batch(sentences, table, params.dtype), params, dropout)
+    dtype, as one tape node."""
+    pooled = bigru(pack_batch(sentences, table, params.dtype), params)
+    _finite(pooled.values)
+    return pooled
 
 
-def encode(tokens, table: EmbeddingTable, params: EncoderParams,
-           dropout: Dropout = INFERENCE) -> Tensor:
-    """Float64 sentence vector of length params.output_dim for one token
-    sequence, on the tape: the row of a one-row batch packed in float64."""
-    if len(tokens) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    return nx.gather_rows(_encode_packed(pack_batch([tokens], table, np.float64), params, dropout), 0)
+def encode(tokens, table: EmbeddingTable, params: EncoderParams) -> Tensor:
+    """Untaped float64 sentence vector of length params.output_dim for one
+    token sequence: encode_many's row for it."""
+    return Tensor(encode_many([tokens], table, params)[0])
 
 
 INFERENCE_CHUNK = 64  # rows per encode_many kernel call
@@ -534,6 +491,6 @@ def sentence_encoder(table: EmbeddingTable, params: EncoderParams):
     Its ``many`` attribute maps a list of token sequences to their vectors
     in one encode_many call; evaluation.evaluate uses it."""
     def encode_fn(tokens):
-        return encode(tokens, table, params, INFERENCE).values
+        return encode(tokens, table, params).values
     encode_fn.many = lambda sentences: encode_many(sentences, table, params)
     return encode_fn

@@ -168,20 +168,8 @@ def _encode_all(encode_fn, sentences, memo: dict) -> None:
         memo[s] = v
 
 
-def _encode_once(encode_fn, memo: dict):
-    """The vector in ``memo`` of a token sequence, and encode_fn's, kept
-    there, for one that is not."""
-    def encode(tokens):
-        key = tuple(tokens)
-        vec = memo.get(key)
-        if vec is None:
-            vec = memo[key] = encode_fn(tokens)
-        return vec
-    return encode
-
-
 def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype]],
-             mode: str = ENERGY_MODE, eps: float = 1e-8, memo: dict | None = None) -> EvaluationResult:
+             mode: str = ENERGY_MODE, memo: dict | None = None) -> EvaluationResult:
     """Rank every scorable question's candidates against its same-type
     prototypes and aggregate MRR/MAP per subset.
 
@@ -195,22 +183,26 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
     encoded in one call of ``encode_fn.many`` (a list of token tuples to
     their vectors, in order) when encode_fn has that attribute, as
     encoder.sentence_encoder does, or else by one encode_fn call each.
-    Ranking then reads the memo, calling rank_candidates once per
-    question.  ``memo``, a dict from token tuples to encode_fn's vectors,
-    carries them across calls with the same encode_fn.
+    Ranking then reads every vector from the memo, calling
+    rank_candidates once per question.  ``memo``, a dict from token tuples
+    to encode_fn's vectors, carries them across calls with the same
+    encode_fn.
     """
     memo = {} if memo is None else memo
     scorable = [q for q in dataset.questions if _scorable(q, prototypes)]
     _encode_all(encode_fn, itertools.chain(
         (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)),
         (s for q in scorable for s in (q.text, *(c.text for c in q.candidates)))), memo)
-    vec = _encode_once(encode_fn, memo)
+
+    def vec(tokens):
+        return memo[tuple(tokens)]
+
     proto_vecs = {wh: [(vec(pr.question), vec(pr.answer)) for pr in protos]
                   for wh, protos in prototypes.items()}
 
     def rank(q):
         return rank_candidates(vec(q.text), [vec(c.text) for c in q.candidates],
-                               proto_vecs[q.wh_type], mode=mode, eps=eps)
+                               proto_vecs[q.wh_type], mode=mode)
 
     return _rank_questions(dataset, prototypes, rank)
 
@@ -226,9 +218,9 @@ def mean_embedding_encoder(table: EmbeddingTable):
 
 def baseline_rank(dataset: QADataset, table: EmbeddingTable,
                   prototypes: dict[str, list[Prototype]],
-                  mode: str = ENERGY_MODE, eps: float = 1e-8) -> EvaluationResult:
+                  mode: str = ENERGY_MODE) -> EvaluationResult:
     """Mean-embedding sentences pushed through the identical ranking path."""
-    return evaluate(mean_embedding_encoder(table), dataset, prototypes, mode=mode, eps=eps)
+    return evaluate(mean_embedding_encoder(table), dataset, prototypes, mode=mode)
 
 
 def random_rank(dataset: QADataset, prototypes: dict[str, list[Prototype]],
@@ -269,8 +261,7 @@ class SweepResult:
 
 
 def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADataset,
-                     p_values, seed: int, mode: str = ENERGY_MODE,
-                     eps: float = 1e-8) -> SweepResult:
+                     p_values, seed: int, mode: str = ENERGY_MODE) -> SweepResult:
     """Evaluate once per requested prototype count, re-selecting with the
     same seed (so smaller sets are prefixes of larger ones); each distinct
     sentence is encoded once across all counts."""
@@ -286,7 +277,7 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
             got = len(prototypes[wh])
             if got < p:
                 warnings.append(f"p={p}: only {got} answerable {wh} questions available")
-        result = evaluate(encode_fn, eval_dataset, prototypes, mode=mode, eps=eps, memo=memo)
+        result = evaluate(encode_fn, eval_dataset, prototypes, mode=mode, memo=memo)
         combined = result.report.row("Combined")
         rows.append(SweepRow(p=p, map=combined.map, mrr=combined.mrr))
     return SweepResult(rows=tuple(rows), warnings=tuple(warnings))

@@ -121,9 +121,6 @@ class EmbeddingTable:
         vec.setflags(write=False)
         return vec
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
-
 
 def _is_header(fields: list[str]) -> bool:
     if len(fields) != 2:
@@ -135,13 +132,13 @@ def _is_header(fields: list[str]) -> bool:
     return True
 
 
-def load_embeddings(path, expected_dim: int | None = None, oov_seed: int = 0) -> EmbeddingTable:
+def load_embeddings(path) -> EmbeddingTable:
     """Read a word-vector text file.
 
     Format: optional first line ``count dim``; data lines
     ``token v1 v2 ... vd``.  Duplicate tokens keep the first occurrence.
     Dimension comes from the header or the first data row; a later row of a
-    different width is a ParseError, a clash with expected_dim a ConfigError.
+    different width is a ParseError.
     """
     dim: int | None = None
     entries: dict[str, np.ndarray] = {}
@@ -170,12 +167,9 @@ def load_embeddings(path, expected_dim: int | None = None, oov_seed: int = 0) ->
             entries[token] = vec
     if dim is None or not entries:
         raise ParseError(f"{path}: no embedding rows found")
-    if expected_dim is not None and dim != expected_dim:
-        raise ConfigError(
-            f"{path}: embedding dimension {dim} does not match expected {expected_dim}")
     for vec in entries.values():
         vec.setflags(write=False)
-    return EmbeddingTable(dim=dim, entries=entries, oov_seed=oov_seed)
+    return EmbeddingTable(dim=dim, entries=entries)
 
 
 def load_qa_dataset(path, has_header: bool = False) -> QADataset:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import numerics as nx
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
-from .encoder import Dropout, EncoderParams, derive_seed, encode_batch, layout
+from .encoder import EncoderParams, derive_seed, encode_batch, layout
 from .fsio import atomic_write_bytes, atomic_write_text
 from .numerics import GradTape, Tensor, gather_rows
 from .quadgen import Prototype, generate_training_quadruples
@@ -134,6 +135,15 @@ def loss_log_to_tsv(log) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _dropout(m: Tensor, rate: float, seed: int) -> Tensor:
+    """Inverted dropout on the tape: m times a keep mask drawn from seed,
+    survivors scaled by 1/(1-rate); m itself at rate 0."""
+    if rate == 0.0:
+        return m
+    keep = np.random.default_rng(seed).random(m.shape) >= rate
+    return nx.hadamard(m, nx.tensor(keep.astype(np.float64) / (1.0 - rate), dtype=m.dtype))
+
+
 def _distinct_sentences(chunk):
     """The chunk's a/b/c/d sentences without repeats, in first-seen order,
     and for each role the index of each quadruple's sentence in that list."""
@@ -173,15 +183,13 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
                 tape.watch(params.flat)
                 sentences, rows = _distinct_sentences(chunk)
                 encoded = encode_batch(sentences, table, params)
-                groups = {}
-                for role in "abcd":
-                    drop = Dropout(rate=cfg.dropout, training=True,
-                                   seed=derive_seed(cfg.seed, "dropout", epoch, batch_idx, role))
-                    groups[role] = drop.apply(gather_rows(encoded, rows[role]))
+                groups = {role: _dropout(gather_rows(encoded, rows[role]), cfg.dropout,
+                                         derive_seed(cfg.seed, "dropout", epoch, batch_idx, role))
+                          for role in "abcd"}
                 batch = EncodedBatch(f_qp=groups["a"], f_ap=groups["b"],
                                      f_qi=groups["c"], f_ai=groups["d"],
                                      labels=np.array([q.y for q in chunk]))
-                result = batch_loss(batch, cfg.hp, params=(params.flat,))
+                result = batch_loss(batch, cfg.hp, params.flat)
             loss_value = result.loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingError(

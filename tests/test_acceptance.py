@@ -22,7 +22,7 @@ from analogia.analogy_core import (
     rank_candidates,
 )
 from analogia.diagnostics import F32_TOLERANCE, F64_TOLERANCE, full_pipeline_gradient_errors
-from analogia.encoder import INFERENCE, encode
+from analogia.encoder import encode
 from analogia.evaluation import (
     baseline_rank,
     evaluate,
@@ -281,7 +281,7 @@ def synthetic_run():
     result = train(cfg, corpus.train, prototypes, corpus.table)
 
     def encode_fn(tokens):
-        return encode(tokens, corpus.table, result.params, INFERENCE).values
+        return encode(tokens, corpus.table, result.params).values
 
     model_eval = evaluate(encode_fn, corpus.held_out, prototypes)
     base_eval = baseline_rank(corpus.held_out, corpus.table, prototypes)
@@ -325,7 +325,7 @@ def test_08_determinism(capsys, synthetic_run):
     logs_identical = loss_log_to_tsv(rerun.loss_log) == first_log
 
     def encode_fn(tokens):
-        return encode(tokens, corpus.table, rerun.params, INFERENCE).values
+        return encode(tokens, corpus.table, rerun.params).values
 
     rerun_report = evaluate(encode_fn, corpus.held_out, prototypes).report.to_tsv()
     reports_identical = rerun_report == synthetic_run["model"].report.to_tsv()
@@ -376,7 +376,7 @@ def test_10_real_dataset_pathway(capsys):
     result = train(cfg, dataset, prototypes, table)
 
     def encode_fn(tokens):
-        return encode(tokens, table, result.params, INFERENCE).values
+        return encode(tokens, table, result.params).values
 
     report = evaluate(encode_fn, dataset, prototypes).report
     combined = report.row("Combined")

@@ -9,6 +9,7 @@ import pytest
 
 from analogia import numerics as nx
 from analogia.analogy_core import (
+    COSINE_EPSILON,
     BatchLossResult,
     EncodedBatch,
     LOSS_VARIANTS,
@@ -157,13 +158,12 @@ class TestHyperParamsValidation:
     def test_defaults(self):
         hp = HyperParams()
         assert hp.margin == 0.0 and hp.loss_variant == "hinge"
-        assert hp.l2_lambda == 0.0 and hp.cosine_epsilon == 1e-8
+        assert hp.l2_lambda == 0.0 and COSINE_EPSILON == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
         {"margin": 1.5},
         {"loss_variant": "quadratic"},
         {"l2_lambda": -0.1},
-        {"cosine_epsilon": 0.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -283,7 +283,7 @@ def _batch_from_shifts(proto_shifts, quad_shifts, labels, dtype=np.float64):
 def _op_by_op_loss(batch, hp, params):
     """Reference oracle: the batch loss composed from elementwise tape ops,
     one node per op; batch_loss's single node must give the same bits."""
-    B, dtype, eps = batch.size, batch.f_qp.dtype, hp.cosine_epsilon
+    B, dtype, eps = batch.size, batch.f_qp.dtype, COSINE_EPSILON
     u = nx.sub(batch.f_qp, batch.f_ap)
     v = nx.sub(batch.f_qi, batch.f_ai)
     dots = nx.sum_axis(nx.hadamard(u, v), axis=1)
@@ -321,7 +321,7 @@ class TestBatchLoss:
             labels = rng.integers(0, 2, size=B)
             theta = nx.tensor(rng.normal(size=7), dtype=dtype)
             results = []
-            for loss_fn in (lambda b: batch_loss(b, hp, params=(theta,)),
+            for loss_fn in (lambda b: batch_loss(b, hp, theta),
                             lambda b: _op_by_op_loss(b, hp, (theta,))):
                 with nx.GradTape() as tape:
                     rows = [nx.tensor(m, dtype=dtype) for m in mats]
@@ -366,12 +366,11 @@ class TestBatchLoss:
 
     def test_l2_term_matches_direct_recomputation(self):
         rng = np.random.default_rng(22)
-        params = [nx.tensor(rng.normal(size=(3, 2)), dtype=np.float64),
-                  nx.tensor(rng.normal(size=5), dtype=np.float64)]
+        theta = nx.tensor(rng.normal(size=11), dtype=np.float64)
         batch = _batch_from_shifts([[1.0, 0.0]], [[1.0, 0.0]], [1])
         lam = 0.01
-        out = batch_loss(batch, HyperParams(l2_lambda=lam), params=params)
-        want = lam * sum(float((p.values ** 2).sum()) for p in params)
+        out = batch_loss(batch, HyperParams(l2_lambda=lam), theta)
+        want = lam * float((theta.values ** 2).sum())
         np.testing.assert_allclose(out.loss.item(), want, rtol=1e-12)
 
     def test_degenerate_row_neutral_and_counted(self):
@@ -401,7 +400,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(23)
         base = {name: rng.normal(size=(2, 2)) for name in ("qp", "ap", "qi", "ai")}
         labels = np.array([1, 0])
-        theta0 = rng.normal(size=(2, 2))
+        theta0 = rng.normal(size=4)
 
         for variant in ("hinge", "literal"):
             hp = HyperParams(margin=0.25, loss_variant=variant, l2_lambda=0.01)
@@ -412,7 +411,7 @@ class TestBatchLoss:
                     theta = t if which == "theta" else nx.tensor(theta0, dtype=t.dtype)
                     b = EncodedBatch(f_qp=mats["qp"], f_ap=mats["ap"],
                                      f_qi=mats["qi"], f_ai=mats["ai"], labels=labels)
-                    return batch_loss(b, hp, params=[theta]).loss
+                    return batch_loss(b, hp, theta).loss
 
                 x0 = theta0 if which == "theta" else base[which]
                 err = nx.finite_difference_check(f, nx.tensor(x0, dtype=np.float64))
@@ -420,13 +419,13 @@ class TestBatchLoss:
 
     def test_records_one_tape_node(self):
         """The whole loss is one node; its inputs are the four encoded
-        matrices, plus the params when the L2 term is on."""
+        matrices, plus theta when the L2 term is on."""
         batch = _batch_from_shifts([[1.0, 0.0]], [[0.5, 0.5]], [1])
         theta = nx.tensor([1.0, 2.0], dtype=np.float64)
         rows = (batch.f_qp, batch.f_ap, batch.f_qi, batch.f_ai)
         for lam, inputs in ((0.0, rows), (0.01, rows + (theta,))):
             with nx.GradTape() as tape:
-                batch_loss(batch, HyperParams(l2_lambda=lam), params=(theta,))
+                batch_loss(batch, HyperParams(l2_lambda=lam), theta)
             assert len(tape._nodes) == 1
             assert tape._nodes[0].inputs == inputs
 
@@ -444,9 +443,29 @@ class TestBatchLoss:
             assert fwd.loss.shape == (P,) and fwd.energies.shape == (P, B)
             for k in range(P):
                 batch = EncodedBatch(*(nx.tensor(m[k], dtype=np.float64) for m in mats), labels=labels)
-                out = batch_loss(batch, hp, params=(nx.tensor(theta[k], dtype=np.float64),))
+                out = batch_loss(batch, hp, nx.tensor(theta[k], dtype=np.float64))
                 assert fwd.loss[k] == out.loss.item()
                 np.testing.assert_array_equal(fwd.energies[k], out.energies)
+
+    @pytest.mark.parametrize("short", ["candidate", "prototype"])
+    def test_degenerate_rows_agree_with_rank_candidates(self, short):
+        """Around COSINE_EPSILON the loss and the ranking call the same
+        shifts degenerate: a row whose short shift sits just under it
+        scores 0 in both, one just over it scores its cosine, 1 here."""
+        norms = COSINE_EPSILON * np.array([0.5, 1 - 1e-6, 1 + 1e-6, 2.0])
+        e1 = np.array([1.0, 0.0, 0.0])
+        for n in norms:
+            cand, proto = (n, 1.0) if short == "candidate" else (1.0, n)
+            # shifts f(q) - f(d) = -cand e1 and f(qp) - f(ap) = -proto e1
+            ranked = rank_candidates(np.zeros(3), [cand * e1], [(np.zeros(3), proto * e1)])
+            fwd = batch_loss_forward(np.zeros((1, 3)), [proto * e1], np.zeros((1, 3)), [cand * e1],
+                                     np.array([1]), HyperParams())
+            degenerate = bool(n < COSINE_EPSILON)
+            assert ranked.degenerate_count == int(degenerate)
+            assert bool(fwd.usable[0]) is not degenerate
+            assert ranked.entries[0].score == (0.0 if degenerate else 1.0)
+            assert fwd.energies[0] == pytest.approx(0.0 if degenerate else 1.0, abs=1e-12)
+            assert energy(ShiftPair(-cand * e1, -proto * e1)) == (ranked.entries[0].score, degenerate)
 
     def test_empty_batch_rejected(self):
         with pytest.raises((ShapeError, ValueError)):

@@ -380,6 +380,22 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="line 1"):
             read_config_file(cfg)
 
+    def test_crlf_config_file_reads_like_lf(self, tmp_path):
+        lines = [b"# a comment", b"prototypes 3", b"seed = 11", b"", b"loss-variant literal", b""]
+        lf, crlf = tmp_path / "lf.cfg", tmp_path / "crlf.cfg"
+        lf.write_bytes(b"\n".join(lines))
+        crlf.write_bytes(b"\r\n".join(lines))
+        assert read_config_file(crlf) == read_config_file(lf) == {"prototypes": "3", "seed": "11",
+                                                                  "loss_variant": "literal"}
+
+    def test_undecodable_config_names_file_and_line(self, capsys, corpus_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs 2\n\xff dim 8\n")
+        rc, out, err = _run(capsys, ["gen-quadruples", "--data", str(corpus_dir / "train.tsv"),
+                                     "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert f"{cfg}: line 2: not UTF-8 text" in err
+
     def test_flag_beats_config_beats_default(self, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("prototypes 3\nepochs 2\ndim 8\nseed 11\n")

@@ -1,5 +1,5 @@
-"""Encoder correctness: cell vs a scalar oracle, pooling, batching, dropout,
-and gradient checks through the whole recurrence.
+"""Encoder correctness: cell vs a scalar oracle, pooling, batching, and
+gradient checks through the whole recurrence.
 """
 
 import math
@@ -10,13 +10,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from analogia import encoder
+from analogia import encoder, training
 from analogia import numerics as nx
 from analogia.encoder import (
     GATE_NAMES,
-    INFERENCE,
     INFERENCE_CHUNK,
-    Dropout,
     EncoderParams,
     bigru_forward,
     derive_seed,
@@ -27,7 +25,7 @@ from analogia.encoder import (
     sentence_encoder,
 )
 from analogia.numerics import ShapeError
-from analogia.text_data import ConfigError, EmbeddingTable
+from analogia.text_data import EmbeddingTable
 
 F32_TOL = 1e-4
 F64_TOL = 1e-7
@@ -270,39 +268,20 @@ class TestEncode:
         b = encode(("alpha", "beta"), table, params)
         np.testing.assert_array_equal(a.values, b.values)
 
-
-class TestDropout:
-    def test_rate_zero_is_identity(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_the_untaped_encode_many_row(self, dtype):
         table = _table()
-        params = EncoderParams.initialize(table.dim, 3, seed=0)
-        plain = encode(("alpha", "beta"), table, params)
-        trained = encode(("alpha", "beta"), table, params,
-                         dropout=Dropout(rate=0.0, training=True, seed=1))
-        np.testing.assert_array_equal(plain.values, trained.values)
+        params = EncoderParams.initialize(table.dim, 3, seed=7, dtype=dtype)
+        sentence = ("gamma", "alpha", "zzz", "beta")
+        with nx.GradTape() as tape:
+            tape.watch(params.flat)
+            got = encode(sentence, table, params)
+        assert tape._nodes == []
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.values, encode_many([sentence], table, params)[0])
 
-    def test_training_mask_zeroes_or_rescales(self):
-        table = _table()
-        params = EncoderParams.initialize(table.dim, 8, seed=0)
-        base = encode(("alpha", "beta", "gamma"), table, params)
-        dropped = encode(("alpha", "beta", "gamma"), table, params,
-                         dropout=Dropout(rate=0.5, training=True, seed=3))
-        keep = dropped.values != 0
-        np.testing.assert_allclose(dropped.values[keep], base.values[keep] * 2.0, rtol=1e-6)
-        assert 0 < keep.sum() < keep.size  # seed 3 both keeps and drops here
 
-    def test_mask_deterministic_given_seed(self):
-        d = Dropout(rate=0.5, training=True, seed=7)
-        np.testing.assert_array_equal(d.mask((4, 4)), d.mask((4, 4)))
-
-    def test_inactive_at_inference(self):
-        assert Dropout(rate=0.9, training=False, seed=0).mask((3,)) is None
-
-    def test_rate_validation(self):
-        with pytest.raises(ConfigError):
-            Dropout(rate=1.0)
-        with pytest.raises(ConfigError):
-            Dropout(rate=-0.1)
-
+class TestDeriveSeed:
     def test_derive_seed_stable_and_sensitive(self):
         assert derive_seed(5, "epoch", 1) == derive_seed(5, "epoch", 1)
         assert derive_seed(5, "epoch", 1) != derive_seed(5, "epoch", 2)
@@ -357,17 +336,16 @@ class TestEncodeBatch:
             encode_batch([("alpha",), ()], table, params)
 
     def test_dropout_rows_use_distinct_masks(self):
+        """Training's dropout on an encoded batch masks each row on its own."""
         table, params, sentences = self._setup(np.float64)
-        out = encode_batch(sentences, table, params,
-                           dropout=Dropout(rate=0.5, training=True, seed=2))
+        out = training._dropout(encode_batch(sentences, table, params), 0.5, 2)
         zero_patterns = {tuple(row == 0) for row in out.values}
         assert len(zero_patterns) > 1
 
     def test_dropout_deterministic(self):
         table, params, sentences = self._setup(np.float64)
-        d = Dropout(rate=0.5, training=True, seed=9)
-        a = encode_batch(sentences, table, params, dropout=d)
-        b = encode_batch(sentences, table, params, dropout=d)
+        a = training._dropout(encode_batch(sentences, table, params), 0.5, 9)
+        b = training._dropout(encode_batch(sentences, table, params), 0.5, 9)
         np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -751,7 +729,7 @@ class TestEncoderGradients:
     """Finite-difference checks through the full recurrence, pooling, and
     batching, for every one of the 18 parameter tensors."""
 
-    def _loss_through_encode(self, which, dtype, batched):
+    def _loss_through_encode_batch(self, which, dtype, batched):
         table = _table(dim=2, words=("alpha", "beta", "gamma"))
         params = EncoderParams.initialize(2, 2, seed=31, dtype=dtype)
         baseline = params.flat.values.astype(np.float64)
@@ -760,30 +738,27 @@ class TestEncoderGradients:
 
         def f(t):
             p = replace(params, flat=_written_into(baseline.astype(t.dtype), lo, t))
-            if batched:
-                out = encode_batch(sentences, table, p)
-                return nx.sum_all(nx.hadamard(out, out))
-            vec = encode(sentences[0], table, p)
-            return nx.sum_all(nx.hadamard(vec, vec))
+            out = encode_batch(sentences if batched else sentences[:1], table, p)
+            return nx.sum_all(nx.hadamard(out, out))
 
         return f, baseline[lo:hi].reshape(params.layout.shapes[which])
 
     @pytest.mark.parametrize("which", range(18))
     def test_per_sentence_path(self, which):
         for dtype, tol in ((np.float32, F32_TOL), (np.float64, F64_TOL)):
-            f, x0 = self._loss_through_encode(which, dtype, batched=False)
+            f, x0 = self._loss_through_encode_batch(which, dtype, batched=False)
             err = nx.finite_difference_check(f, nx.tensor(x0, dtype=dtype))
             assert err < tol, f"param {which} dtype {dtype.__name__}: {err}"
 
     @pytest.mark.parametrize("which", range(18))
     def test_batched_path(self, which):
-        f, x0 = self._loss_through_encode(which, np.float64, batched=True)
+        f, x0 = self._loss_through_encode_batch(which, np.float64, batched=True)
         err = nx.finite_difference_check(f, nx.tensor(x0, dtype=np.float64))
         assert err < F64_TOL, f"param {which}: {err}"
 
     def test_batched_path_f32_spot_checks(self):
         for which in (0, 7, 13):
-            f, x0 = self._loss_through_encode(which, np.float32, batched=True)
+            f, x0 = self._loss_through_encode_batch(which, np.float32, batched=True)
             err = nx.finite_difference_check(f, nx.tensor(x0, dtype=np.float32))
             assert err < F32_TOL, f"param {which}: {err}"
 
@@ -794,7 +769,7 @@ class TestSentenceEncoder:
         params = EncoderParams.initialize(input_dim=3, hidden=2, seed=4)
         fn = sentence_encoder(table, params)
         toks = ("what", "a", "day")
-        np.testing.assert_array_equal(fn(toks), encode(toks, table, params, INFERENCE).values)
+        np.testing.assert_array_equal(fn(toks), encode(toks, table, params).values)
 
     def test_many_is_encode_many(self):
         table = _table(dim=3, seed=2)

@@ -366,13 +366,6 @@ class TestSweep:
             sweep_prototypes(mean_embedding_encoder(table), ds, ds, [], seed=0)
 
 
-class _Forgetful(dict):
-    """A memo that keeps nothing, so evaluate calls encode_fn every time."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 def _counting(encode_fn):
     calls = []
 
@@ -383,31 +376,46 @@ def _counting(encode_fn):
     return fn, calls
 
 
+def _occurrences(dataset, prototypes, result):
+    """Every sentence that ranking reads, once per occurrence: each
+    prototype's question and answer, then the text and the candidates of
+    each question the result ranked."""
+    ranked = {sq.question_id for sq in result.rankings}
+    out = [s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)]
+    for q in dataset.questions:
+        if q.question_id in ranked:
+            out += [q.text, *(c.text for c in q.candidates)]
+    return out
+
+
 class TestEncodeOnce:
     def test_evaluate_encodes_each_distinct_sentence_once(self):
         table, ds, protos = _toy_world()
         fn, calls = _counting(mean_embedding_encoder(table))
-        once = evaluate(fn, ds, protos)
-        fn, every_call = _counting(mean_embedding_encoder(table))
-        plain = evaluate(fn, ds, protos, memo=_Forgetful())
-        assert len(every_call) > len(set(every_call))  # the toy world repeats sentences
-        assert sorted(calls) == sorted(set(every_call))
-        assert once.report.to_tsv() == plain.report.to_tsv()
-        assert once.rankings == plain.rankings
+        memo = {}
+        once = evaluate(fn, ds, protos, memo=memo)
+        every_occurrence = _occurrences(ds, protos, once)
+        assert len(every_occurrence) > len(set(every_occurrence))  # the toy world repeats sentences
+        assert sorted(calls) == sorted(set(every_occurrence))
+        again = evaluate(fn, ds, protos, memo=memo)
+        assert len(calls) == len(set(every_occurrence))
+        assert once.report.to_tsv() == again.report.to_tsv()
+        assert once.rankings == again.rankings
 
     def test_sweep_encodes_each_distinct_sentence_once_across_p(self):
         table, ds = TestSweep()._world()
         p_values = [1, 2, 3]
         fn, calls = _counting(mean_embedding_encoder(table))
         res = sweep_prototypes(fn, ds, ds, p_values, seed=0)
-        every_call = []
+        every_occurrence = []
         for p, row in zip(p_values, res.rows):
-            fn, per_p = _counting(mean_embedding_encoder(table))
-            plain = evaluate(fn, ds, select_prototypes(ds, p, 0), memo=_Forgetful())
-            every_call += per_p
+            protos = select_prototypes(ds, p, 0)
+            plain = evaluate(mean_embedding_encoder(table), ds, protos)
+            every_occurrence += _occurrences(ds, protos, plain)
             combined = plain.report.row("Combined")
             assert (row.map, row.mrr) == (combined.map, combined.mrr)
-        assert sorted(calls) == sorted(set(every_call))
+        assert len(every_occurrence) > len(set(every_occurrence))
+        assert sorted(calls) == sorted(set(every_occurrence))
 
 
 def _counting_batches(encode_fn):

@@ -10,7 +10,6 @@ from analogia.text_data import (
     OTHER,
     WH_TYPES,
     Candidate,
-    ConfigError,
     EmbeddingTable,
     ParseError,
     QADataset,
@@ -107,12 +106,6 @@ class TestEmbeddingLoading:
         p.write_text("1 3\na 1.0 2.0\n")
         with pytest.raises(ParseError, match="line 2"):
             load_embeddings(p)
-
-    def test_expected_dim_mismatch_is_config_error(self, tmp_path):
-        p = tmp_path / "v.vec"
-        p.write_text("a 1.0 2.0\n")
-        with pytest.raises(ConfigError):
-            load_embeddings(p, expected_dim=300)
 
     def test_duplicate_token_first_wins(self, tmp_path):
         p = tmp_path / "v.vec"

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from analogia import encoder, training
-from analogia.encoder import Dropout, EncoderParams, derive_seed
+from analogia import numerics as nx
+from analogia.encoder import EncoderParams, derive_seed
 from analogia.numerics import GradTape, Tensor, _active_tape
 from analogia.quadgen import Prototype, generate_training_quadruples, select_prototypes
 from analogia.text_data import Candidate, ConfigError, EmbeddingTable, ParseError, QADataset, Question, classify_question, tokenize
@@ -265,6 +266,36 @@ class TestTrain:
             assert int(degen) >= 0
 
 
+class TestDropout:
+    """training._dropout: inverted dropout on the tape, one mask per seed."""
+
+    def _rows(self, dtype=np.float32):
+        return nx.tensor(np.random.default_rng(0).uniform(0.1, 1.0, size=(4, 8)), dtype=dtype)
+
+    def test_rate_zero_is_identity(self):
+        m = self._rows()
+        with GradTape() as tape:
+            tape.watch(m)
+            assert training._dropout(m, 0.0, 1) is m
+        assert tape._nodes == []
+
+    def test_training_mask_zeroes_or_rescales(self):
+        m = self._rows()
+        dropped = training._dropout(m, 0.5, 3).values
+        assert dropped.dtype == np.float32
+        keep = dropped != 0
+        np.testing.assert_array_equal(dropped[keep], m.values[keep] * 2.0)
+        assert 0 < keep.sum() < keep.size  # seed 3 both keeps and drops here
+
+    def test_mask_deterministic_given_seed(self):
+        m = self._rows(np.float64)
+        a, b = training._dropout(m, 0.5, 7), training._dropout(m, 0.5, 7)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, training._dropout(m, 0.5, 8).values)
+        keep = np.random.default_rng(7).random(m.shape) >= 0.5
+        np.testing.assert_array_equal(a.values, m.values * (keep / 0.5))
+
+
 class TestTrainingStep:
     """Each step encodes the batch's distinct sentences in one call, gathers
     each role's rows, then applies that role's own dropout mask."""
@@ -313,8 +344,8 @@ class TestTrainingStep:
 
     def test_role_rows_carry_the_per_role_masks(self, monkeypatch):
         """Row i of role r is the encoding of quadruple i's r sentence times
-        the mask Dropout derives from (seed, epoch, batch offset, role) for
-        the (B, d) shape."""
+        the inverted-dropout mask drawn from (seed, epoch, batch offset,
+        role) for the (B, d) shape."""
         steps, res, ds, protos = self._run(monkeypatch)
         cfg = self.CFG
         quads = generate_training_quadruples(ds, protos, negatives_per_positive=cfg.negatives_per_positive,
@@ -328,9 +359,8 @@ class TestTrainingStep:
                 for role, got in zip("abcd", (rec["batch"].f_qp, rec["batch"].f_ap,
                                               rec["batch"].f_qi, rec["batch"].f_ai)):
                     rows = [rec["sentences"].index(getattr(q, role)) for q in chunk]
-                    mask = Dropout(rate=cfg.dropout, training=True,
-                                   seed=derive_seed(cfg.seed, "dropout", epoch, batch_idx, role)
-                                   ).mask((len(chunk), cfg.dim))
+                    rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, batch_idx, role))
+                    mask = (rng.random((len(chunk), cfg.dim)) >= cfg.dropout) / (1.0 - cfg.dropout)
                     want = rec["encoded"][rows] * mask.astype(np.float32)
                     np.testing.assert_array_equal(got.values, want)
         assert next(step, None) is None
