@@ -8,12 +8,13 @@ contrastive training objective.
 
 That objective has one implementation: the plain-numpy kernel
 ``batch_loss_forward``, over rows with any leading axes.  ``batch_loss``
-records it as a single tape node whose backward pass is
-``_batch_loss_grads``, and the gradient audit in ``diagnostics`` calls the
-same kernel for its numeric side.  The scalar ``energy`` and
-``contrastive_loss`` stay as reference oracles, and ``rank_candidates``
-keeps its own evaluation formula.  The loss and the ranking read one
-degeneracy threshold, COSINE_EPSILON.
+records it as one tape node over the encoded sentences, taking each role's
+rows and dropout mask itself, with ``_batch_loss_grads`` scattered back
+onto those rows as its backward pass; the gradient audit in
+``diagnostics`` calls the same kernel for its numeric side.  The scalar
+``energy`` and ``contrastive_loss`` stay as reference oracles, and
+``rank_candidates`` keeps its own evaluation formula.  The loss and the
+ranking read one degeneracy threshold, COSINE_EPSILON.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import ShapeError, Tensor
-from .text_data import ConfigError
+from .text_data import ConfigError, require_finite
 
 ENERGY_MODE = "energy"
 DISSIMILARITY_MODE = "dissimilarity"
@@ -52,6 +53,7 @@ class HyperParams:
     l2_lambda: float = 0.0
 
     def __post_init__(self):
+        require_finite(margin=self.margin, l2_lambda=self.l2_lambda)
         if not -1.0 <= self.margin <= 1.0:
             raise ConfigError(f"margin must be in [-1, 1], got {self.margin}")
         if self.loss_variant not in LOSS_VARIANTS:
@@ -199,30 +201,40 @@ def rank_candidates(question_vec, candidate_vecs, prototype_vecs,
 
 @dataclass(frozen=True)
 class EncodedBatch:
-    """Row-aligned encoded quadruples: row i of each matrix belongs to the
-    same (prototype question, prototype answer, question, candidate) tuple."""
+    """Quadruples over one matrix of encoded sentences.  Row k of ``rows``
+    picks, for role k (prototype question, prototype answer, question,
+    candidate), each quadruple's row of ``encoded``; ``masks``, when given,
+    holds each role's inverted-dropout scales in encoded's dtype."""
 
-    f_qp: Tensor
-    f_ap: Tensor
-    f_qi: Tensor
-    f_ai: Tensor
-    labels: np.ndarray
+    encoded: Tensor  # (S, d), one row per distinct sentence
+    rows: np.ndarray  # (4, B) ints in [0, S)
+    labels: np.ndarray  # (B,) zeros and ones
+    masks: np.ndarray | None = None  # (4, B, d)
 
     def __post_init__(self):
-        shapes = {t.shape for t in (self.f_qp, self.f_ap, self.f_qi, self.f_ai)}
-        if len(shapes) != 1 or self.f_qp.ndim != 2:
-            raise ShapeError(f"encoded matrices must share one (B, d) shape, got {sorted(shapes)}")
+        if self.encoded.ndim != 2:
+            raise ShapeError(f"encoded must be an (S, d) matrix, got shape {self.encoded.shape}")
+        S, d = self.encoded.shape
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iu" or rows.ndim != 2 or rows.shape[0] != 4 or rows.size == 0:
+            raise ShapeError(f"rows must be a (4, B) int array with B >= 1, got {rows.dtype} {rows.shape}")
+        if ((rows < 0) | (rows >= S)).any():
+            raise ShapeError(f"rows index out of range for {S} encoded sentences")
+        B = rows.shape[1]
+        if self.masks is not None and (self.masks.shape, self.masks.dtype) != ((4, B, d), self.encoded.dtype):
+            raise ShapeError(f"masks must be {(4, B, d)} {self.encoded.dtype}, "
+                             f"got {self.masks.shape} {self.masks.dtype}")
         labels = np.asarray(self.labels)
-        if labels.shape != (self.f_qp.shape[0],):
-            raise ShapeError(
-                f"labels shape {labels.shape} does not match batch size {self.f_qp.shape[0]}")
+        if labels.shape != (B,):
+            raise ShapeError(f"labels shape {labels.shape} does not match batch size {B}")
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels.astype(np.int64))
 
     @property
     def size(self) -> int:
-        return self.f_qp.shape[0]
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -298,16 +310,31 @@ def _batch_loss_grads(g, fwd: LossForward, hp: HyperParams, theta=None) -> tuple
 
 
 def batch_loss(batch: EncodedBatch, hp: HyperParams, theta: Tensor | None = None) -> BatchLossResult:
-    """Mean contrastive loss over a batch as one node on the active tape:
-    batch_loss_forward's value, _batch_loss_grads' backward pass (degenerate
-    rows get no gradient).  With l2_lambda > 0 the squared norm of the flat
-    parameter buffer ``theta`` is added, and theta is an input of the node
-    too."""
-    rows = (batch.f_qp, batch.f_ap, batch.f_qi, batch.f_ai)
+    """Mean contrastive loss over a batch as one node on the active tape,
+    over the encoded matrix: batch_loss_forward of each role's masked rows,
+    and in the backward pass _batch_loss_grads' role gradients, masked,
+    added back onto those rows (degenerate rows get none).  With
+    l2_lambda > 0 the squared norm of the flat parameter buffer ``theta``
+    is added, and theta is an input of the node too."""
+    encoded, rows, masks = batch.encoded.values, batch.rows, batch.masks
+    roles = [encoded[r] if masks is None else encoded[r] * masks[k] for k, r in enumerate(rows)]
     theta = theta if hp.l2_lambda > 0 else None
     flat = None if theta is None else theta.values
-    fwd = batch_loss_forward(*(t.values for t in rows), batch.labels, hp, flat)
-    inputs = rows if theta is None else rows + (theta,)
-    loss = nx._emit(np.asarray(fwd.loss), inputs, lambda g: _batch_loss_grads(g, fwd, hp, flat))
+    fwd = batch_loss_forward(*roles, batch.labels, hp, flat)
+
+    def back(g):
+        grads = _batch_loss_grads(g, fwd, hp, flat)
+        # One array per role, added up d, c, b, a as a tape of per-role
+        # gathers adds them, so rows repeated within a role keep their bits.
+        total = None
+        for k in (3, 2, 1, 0):
+            g_role = grads[k] if masks is None else grads[k] * masks[k]
+            z = np.zeros(encoded.shape, dtype=np.result_type(encoded, g_role))
+            np.add.at(z, rows[k], g_role)
+            total = z if total is None else total + z
+        return (total,) + grads[4:]
+
+    inputs = (batch.encoded,) if theta is None else (batch.encoded, theta)
+    loss = nx._emit(np.asarray(fwd.loss), inputs, back)
     return BatchLossResult(loss=loss, energies=fwd.energies.astype(np.float64),
                            degenerate_count=int(np.count_nonzero(~fwd.usable)))

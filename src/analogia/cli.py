@@ -381,6 +381,8 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_check_gradients(cfg) -> int:
+    if cfg["instances"] < 1:
+        raise ConfigError(f"--instances must be at least 1, got {cfg['instances']}")
     runs = {"f32": (np.float32, F32_TOLERANCE), "f64": (np.float64, F64_TOLERANCE)}
     if cfg["precision"] != "both":
         runs = {cfg["precision"]: runs[cfg["precision"]]}

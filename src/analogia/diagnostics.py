@@ -23,7 +23,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import numerics as nx
 from .analogy_core import EncodedBatch, HyperParams, batch_loss, batch_loss_forward
 from .encoder import EncoderParams, Layout, bigru_forward, derive_seed, encode_batch, pack_batch
 from .numerics import finite_difference_check
@@ -35,9 +34,6 @@ F64_TOLERANCE = 1e-7
 _MIN_SHIFT_NORM = 0.3
 _MIN_HINGE_DISTANCE = 5e-2
 _MIN_POOL_GAP = 5e-3
-
-# Rows of the stacked (4, d) encoding, in quadruple order.
-_ROLES = ("f_qp", "f_ap", "f_qi", "f_ai")
 
 
 def _random_instance(rng, dtype):
@@ -57,17 +53,16 @@ def _random_instance(rng, dtype):
 
 
 def _loss(table, sentences, params, y, hp):
-    """One 4-row encoding, rows gathered into the quadruple slots."""
+    """One 4-row encoding, row k in quadruple slot k."""
     stacked = encode_batch(sentences, table, params)
-    rows = {role: nx.gather_rows(stacked, [i]) for i, role in enumerate(_ROLES)}
-    batch = EncodedBatch(labels=np.array([y]), **rows)
+    batch = EncodedBatch(encoded=stacked, rows=np.arange(4)[:, None], labels=np.array([y]))
     return batch_loss(batch, hp, params.flat)
 
 
 def _quadruple_loss(pooled: np.ndarray, y: int, hp: HyperParams, theta=None):
     """batch_loss_forward on (P, 4, d) pooled encodings, each point one
     quadruple: the kernel batch_loss records, with P as its leading axis."""
-    rows = (pooled[:, i:i + 1] for i in range(len(_ROLES)))
+    rows = (pooled[:, i:i + 1] for i in range(4))
     return batch_loss_forward(*rows, np.array([y]), hp, theta)
 
 

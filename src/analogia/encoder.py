@@ -24,7 +24,8 @@ are one product; only the recurrent products stay in the time loop.
 ``bigru`` records that kernel at one parameter point as a single tape node,
 rows in input order, whose backward pass is hand-written backpropagation
 through time over the same prefixes.  ``encode_batch``, the training path,
-is pack_batch in the parameters' dtype, then that node.
+is pack_batch in the parameters' dtype, then that node, which with the
+loss's node is all a training step records.
 
 Inference runs the same kernel untaped in float64: ``encode_many`` runs
 batches of up to INFERENCE_CHUNK rows, and ``encode`` is its row for a

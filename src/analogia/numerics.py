@@ -84,9 +84,6 @@ class Tensor:
     def item(self) -> float:
         return float(self._data)
 
-    def tolist(self):
-        return self._data.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
@@ -113,11 +110,6 @@ def _tape_stack() -> list:
         stack = []
         _LOCAL.stack = stack
     return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
 
 
 class _Node:
@@ -417,32 +409,6 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
         raise ShapeError(f"stack_rows: need equal-length vectors, got {[r.shape for r in rows]}")
     out = np.stack([r.values for r in rows], axis=0)
     return _emit(out, rows, lambda g: tuple(g[i] for i in range(len(rows))))
-
-
-def gather_rows(m: Tensor, idx) -> Tensor:
-    """Rows of a matrix picked as numpy's m[idx]: an int array of indices
-    gives a (len(idx), d) matrix, a single int a length-d vector.
-
-    Indices may repeat; the backward pass scatter-adds each output row's
-    gradient onto the row it came from.
-    """
-    _check_tensor("gather_rows", m)
-    if m.ndim != 2:
-        raise ShapeError(f"gather_rows: need a matrix, got shape {m.shape}")
-    mv = m.values
-    idx = np.asarray(idx)
-    if idx.dtype.kind not in "iu" or idx.ndim > 1 or idx.size == 0:
-        raise ShapeError(f"gather_rows: need an int or a non-empty 1-d int array, got {idx!r}")
-    if ((idx < 0) | (idx >= mv.shape[0])).any():
-        raise ShapeError(f"gather_rows: index out of range for {mv.shape[0]} rows: {idx!r}")
-    out = mv[idx]
-
-    def back(g):
-        z = np.zeros(mv.shape, dtype=np.result_type(mv, g))
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _emit(out, (m,), back)
 
 
 def maxpool_time(m: Tensor) -> Tensor:

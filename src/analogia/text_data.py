@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import string
 from dataclasses import dataclass, field
 
@@ -23,6 +24,13 @@ class ParseError(ValueError):
 
 class ConfigError(ValueError):
     """Inputs are well-formed but inconsistent with the requested setup."""
+
+
+def require_finite(**settings) -> None:
+    """Raise ConfigError naming the first setting that is NaN or infinite."""
+    for name, value in settings.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value}")
 
 
 def read_lines(path):

@@ -4,12 +4,14 @@ One run is a pure function of (config, dataset, prototypes, table): the
 seed pins quadruple generation, parameter init, epoch shuffles, and
 dropout masks, so two identical runs produce bit-identical loss logs and
 weights.  Word embeddings are read-only throughout; only the encoder's
-flat parameter buffer trains, so the tape watches one tensor and Adam,
-decay and clipping are a few vector operations on one array.
+flat parameter buffer trains, so a step's tape watches one tensor and
+records two nodes, the encoder and the loss, and Adam, decay and clipping
+are a few vector operations on one array.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
@@ -17,13 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import numerics as nx
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
-from .encoder import EncoderParams, derive_seed, encode_batch, layout
+from .encoder import EncoderParams, Layout, derive_seed, encode_batch, layout
 from .fsio import atomic_write_bytes, atomic_write_text
-from .numerics import GradTape, Tensor, gather_rows
+from .numerics import GradTape, Tensor
 from .quadgen import Prototype, generate_training_quadruples
-from .text_data import ConfigError, EmbeddingTable, ParseError, QADataset, read_lines
+from .text_data import ConfigError, EmbeddingTable, ParseError, QADataset, read_lines, require_finite
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -55,6 +56,8 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
+        require_finite(lr=self.lr, weight_decay=self.weight_decay, dropout=self.dropout,
+                       clip_norm=self.clip_norm)
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
@@ -135,22 +138,25 @@ def loss_log_to_tsv(log) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _dropout(m: Tensor, rate: float, seed: int) -> Tensor:
-    """Inverted dropout on the tape: m times a keep mask drawn from seed,
-    survivors scaled by 1/(1-rate); m itself at rate 0."""
-    if rate == 0.0:
-        return m
-    keep = np.random.default_rng(seed).random(m.shape) >= rate
-    return nx.hadamard(m, nx.tensor(keep.astype(np.float64) / (1.0 - rate), dtype=m.dtype))
-
-
 def _distinct_sentences(chunk):
     """The chunk's a/b/c/d sentences without repeats, in first-seen order,
-    and for each role the index of each quadruple's sentence in that list."""
+    and the (4, B) table of each quadruple's row in that list per role."""
     slots: dict = {}
-    rows = {role: np.array([slots.setdefault(getattr(q, role), len(slots)) for q in chunk])
-            for role in "abcd"}
+    rows = np.array([[slots.setdefault(getattr(q, role), len(slots)) for q in chunk]
+                     for role in "abcd"])
     return list(slots), rows
+
+
+def _dropout_masks(cfg: TrainConfig, epoch: int, batch_idx: int, shape, dtype):
+    """The (4, *shape) inverted-dropout scales of one step, role by role: a
+    keep mask drawn from (seed, epoch, batch offset, role), survivors
+    scaled by 1/(1-rate) in float64, then cast to dtype; None at rate 0."""
+    if cfg.dropout == 0.0:
+        return None
+    keep = np.stack([
+        np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, batch_idx, role)).random(shape)
+        >= cfg.dropout for role in "abcd"])
+    return (keep / (1.0 - cfg.dropout)).astype(dtype)
 
 
 def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Prototype]],
@@ -158,8 +164,9 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
     """Run the full optimization and return final weights plus the log.
 
     Batches hold whole quadruples.  Each distinct sentence of a batch is
-    encoded once, in one packed batch over all four roles; each role then
-    gathers its rows and applies its own derived dropout mask.
+    encoded once, in one packed batch over all four roles, and batch_loss
+    takes each role's rows and its own derived dropout mask from that
+    matrix: a step records two tape nodes, the encoder and the loss.
     """
     quads = generate_training_quadruples(dataset, prototypes,
                                          negatives_per_positive=cfg.negatives_per_positive,
@@ -179,16 +186,12 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
         for batch_idx in range(0, len(order), cfg.batch_size):
             chunk = [quads[i] for i in order[batch_idx:batch_idx + cfg.batch_size]]
             batch_id = f"epoch {epoch} batch {batch_idx // cfg.batch_size}"
+            sentences, rows = _distinct_sentences(chunk)
+            masks = _dropout_masks(cfg, epoch, batch_idx, (len(chunk), params.output_dim), params.dtype)
             with GradTape() as tape:
                 tape.watch(params.flat)
-                sentences, rows = _distinct_sentences(chunk)
                 encoded = encode_batch(sentences, table, params)
-                groups = {role: _dropout(gather_rows(encoded, rows[role]), cfg.dropout,
-                                         derive_seed(cfg.seed, "dropout", epoch, batch_idx, role))
-                          for role in "abcd"}
-                batch = EncodedBatch(f_qp=groups["a"], f_ap=groups["b"],
-                                     f_qi=groups["c"], f_ai=groups["d"],
-                                     labels=np.array([q.y for q in chunk]))
+                batch = EncodedBatch(encoded, rows, np.array([q.y for q in chunk]), masks)
                 result = batch_loss(batch, cfg.hp, params.flat)
             loss_value = result.loss.item()
             if not np.isfinite(loss_value):
@@ -217,23 +220,28 @@ def train(cfg: TrainConfig, dataset: QADataset, prototypes: dict[str, list[Proto
 # ---------------------------------------------------------------------------
 
 
+def _manifest_lines(lay: Layout) -> list[str]:
+    """manifest.txt's lines: each tensor's name, shape and byte offset in
+    weights.bin."""
+    return [f"{name}\t{','.join(str(n) for n in shape)}\t{4 * offset}"
+            for name, shape, offset in zip(lay.names, lay.shapes, lay.offsets)]
+
+
 def save_checkpoint(directory, params: EncoderParams, config: dict,
                     prototypes: dict[str, list[Prototype]]) -> None:
     """Write manifest.txt, weights.bin (little-endian float32 in manifest
-    order), config.json, and prototypes.tsv into the directory."""
-    os.makedirs(directory, exist_ok=True)
-    lay = params.layout
-    manifest_lines = [f"{name}\t{','.join(str(n) for n in shape)}\t{4 * offset}"
-                      for name, shape, offset in zip(lay.names, lay.shapes, lay.offsets)]
+    order), config.json, and prototypes.tsv into the directory; a NaN or
+    infinite config value raises ValueError before any file is written."""
     meta = dict(config)
     meta.setdefault("input_dim", params.input_dim)
     meta.setdefault("hidden", params.hidden)
+    config_text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    os.makedirs(directory, exist_ok=True)
     atomic_write_bytes(os.path.join(directory, WEIGHTS_NAME),
                        np.ascontiguousarray(params.flat.values, dtype="<f4").tobytes())
     atomic_write_text(os.path.join(directory, MANIFEST_NAME),
-                      "".join(line + "\n" for line in manifest_lines))
-    atomic_write_text(os.path.join(directory, CONFIG_NAME),
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
+                      "".join(line + "\n" for line in _manifest_lines(params.layout)))
+    atomic_write_text(os.path.join(directory, CONFIG_NAME), config_text)
     proto_lines = []
     for wh in sorted(prototypes):
         for pr in prototypes[wh]:
@@ -266,42 +274,31 @@ def load_checkpoint(directory):
                              if key in config else f"{config_path}: missing key {key!r}")
     hidden, input_dim = config["hidden"], config["input_dim"]
 
-    with open(weights_path, "rb") as fh:
-        blob = fh.read()
     lay = layout(hidden, input_dim)
-    want = dict(zip(lay.names, lay.shapes))
-    arrays = {}
-    for lineno, line in read_lines(manifest_path):
-        if not line:
+    want = _manifest_lines(lay)
+    got = [line for _, line in read_lines(manifest_path)]
+    for lineno, (line, expected) in enumerate(itertools.zip_longest(got, want), start=1):
+        if line == expected:
             continue
         where = f"{manifest_path}: line {lineno}"
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise ParseError(f"{where}: expected 3 columns")
-        name, shape_str, offset_str = cols
-        try:
-            shape = tuple(int(s) for s in shape_str.split(","))
-            offset = int(offset_str)
-        except ValueError:
-            raise ParseError(f"{where}: tensor {name}: shape {shape_str!r} and offset {offset_str!r} "
-                             "must be integers") from None
-        if offset < 0 or min(shape) < 0:
-            raise ParseError(f"{where}: tensor {name}: negative shape or offset")
-        if name in want and shape != want[name]:
-            raise ParseError(f"{where}: tensor {name} has shape {shape}, but config.json's "
-                             f"hidden={hidden}, input_dim={input_dim} need {want[name]}")
-        count = int(np.prod(shape))
-        if offset + 4 * count > len(blob):
-            raise ParseError(f"{where}: tensor {name} exceeds weights file")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        if not np.isfinite(arr).all():
-            raise ParseError(f"{weights_path}: tensor {name} has non-finite values")
-        arrays[name] = arr
+        if expected is None:
+            raise ParseError(f"{where}: unexpected line after the {len(want)} tensors")
+        raise ParseError(f"{where}: tensor {lay.names[lineno - 1]}: got "
+                         f"{'end of file' if line is None else repr(line)}, but config.json's "
+                         f"hidden={hidden}, input_dim={input_dim} lay it out as {expected!r}")
 
-    try:
-        flat = np.concatenate([arrays[name] for name in lay.names])
-    except KeyError as exc:
-        raise ParseError(f"{manifest_path}: missing tensor {exc}") from None
+    with open(weights_path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 4 * lay.size:
+        raise ParseError(f"{weights_path}: tensor {lay.name_at(len(blob) // 4)} exceeds weights file "
+                         f"({len(blob)} bytes, {4 * lay.size} needed)")
+    if len(blob) > 4 * lay.size:
+        raise ParseError(f"{weights_path}: {len(blob) - 4 * lay.size} bytes after the "
+                         f"{4 * lay.size} that the manifest's tensors use")
+    flat = np.frombuffer(blob, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ParseError(f"{weights_path}: tensor {lay.name_at(bad[0])} has non-finite values")
     params = EncoderParams(flat=Tensor(flat, dtype=np.float32), hidden=hidden, input_dim=input_dim)
 
     prototypes: dict[str, list[Prototype]] = {}

@@ -18,6 +18,7 @@ from analogia.analogy_core import (
     analogical_dissimilarity,
     batch_loss,
     batch_loss_forward,
+    _batch_loss_grads,
     contrastive_loss,
     energy,
     rank_candidates,
@@ -269,23 +270,42 @@ class TestRankCandidates:
             rank_candidates(np.zeros(2), [np.zeros(3)], [(np.zeros(2), np.zeros(2))])
 
 
+def _stacked(mats, labels, dtype=np.float64, masks=None):
+    """An EncodedBatch over the four (B, d) role matrices stacked into one
+    (4B, d) encoded matrix, row i of role k at row k * B + i."""
+    B = len(mats[0])
+    return EncodedBatch(nx.tensor(np.concatenate(mats), dtype=dtype), np.arange(4 * B).reshape(4, B),
+                        np.asarray(labels), masks)
+
+
 def _batch_from_shifts(proto_shifts, quad_shifts, labels, dtype=np.float64):
     """Build an EncodedBatch whose two shift matrices equal the given rows."""
     P = np.asarray(proto_shifts, dtype=np.float64)
     Q = np.asarray(quad_shifts, dtype=np.float64)
-    zero = np.zeros_like(P)
-    return EncodedBatch(
-        f_qp=nx.tensor(P, dtype=dtype), f_ap=nx.tensor(zero, dtype=dtype),
-        f_qi=nx.tensor(Q, dtype=dtype), f_ai=nx.tensor(np.zeros_like(Q), dtype=dtype),
-        labels=np.asarray(labels))
+    return _stacked([P, np.zeros_like(P), Q, np.zeros_like(Q)], labels, dtype)
+
+
+def _gather(m, idx):
+    """A tape op taking rows m[idx], whose backward pass scatter-adds each
+    row's gradient onto the row it came from."""
+    def back(g):
+        z = np.zeros(m.shape, dtype=np.result_type(m.values, g))
+        np.add.at(z, idx, g)
+        return (z,)
+    return nx._emit(m.values[idx], (m,), back)
 
 
 def _op_by_op_loss(batch, hp, params):
     """Reference oracle: the batch loss composed from elementwise tape ops,
-    one node per op; batch_loss's single node must give the same bits."""
-    B, dtype, eps = batch.size, batch.f_qp.dtype, COSINE_EPSILON
-    u = nx.sub(batch.f_qp, batch.f_ap)
-    v = nx.sub(batch.f_qi, batch.f_ai)
+    one node per op, over a gather node and a mask product per role;
+    batch_loss's single node must give the same bits."""
+    B, dtype, eps = batch.size, batch.encoded.dtype, COSINE_EPSILON
+    roles = [_gather(batch.encoded, r) for r in batch.rows]
+    if batch.masks is not None:
+        roles = [nx.hadamard(m, nx.tensor(k, dtype=dtype)) for m, k in zip(roles, batch.masks)]
+    f_qp, f_ap, f_qi, f_ai = roles
+    u = nx.sub(f_qp, f_ap)
+    v = nx.sub(f_qi, f_ai)
     dots = nx.sum_axis(nx.hadamard(u, v), axis=1)
     squ = nx.sum_axis(nx.hadamard(u, u), axis=1)
     sqv = nx.sum_axis(nx.hadamard(v, v), axis=1)
@@ -305,17 +325,26 @@ def _op_by_op_loss(batch, hp, params):
                            degenerate_count=int(B - usable.sum()))
 
 
+def _keep_scales(rng, shape, rate, dtype):
+    """Inverted-dropout scales: 0 or 1/(1-rate), as training draws them."""
+    return ((rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype)
+
+
 class TestBatchLoss:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bits_match_the_op_by_op_composition(self, dtype):
-        """Loss, energies and every gradient, L2 included, equal the
-        reference's bit for bit, over both variants, margins 0 and random,
-        and batches with degenerate rows."""
+        """Loss, energies and the gradients of the encoded matrix and of
+        theta equal the reference's bit for bit, over both variants,
+        margins 0 and random, with and without masks, rows repeated within
+        and across roles, and batches with degenerate rows."""
         rng = np.random.default_rng(25)
         for case in range(48):
             B, d = (int(n) for n in rng.integers(1, 12, size=2))
-            mats = [rng.normal(size=(B, d)) for _ in range(4)]
-            mats[1][0] = mats[0][0]  # row 0 is degenerate
+            S = int(rng.integers(1, 2 * B + 2))
+            encoded = rng.normal(size=(S, d))
+            rows = rng.integers(0, S, size=(4, B))
+            rows[1, 0] = rows[0, 0]  # row 0 is degenerate
+            masks = _keep_scales(rng, (4, B, d), 0.5, dtype) if case % 4 < 2 else None
             hp = HyperParams(margin=0.0 if case % 3 else float(rng.uniform(-1, 1)),
                              loss_variant=LOSS_VARIANTS[case % 2], l2_lambda=(0.0, 0.01)[case // 2 % 2])
             labels = rng.integers(0, 2, size=B)
@@ -324,14 +353,43 @@ class TestBatchLoss:
             for loss_fn in (lambda b: batch_loss(b, hp, theta),
                             lambda b: _op_by_op_loss(b, hp, (theta,))):
                 with nx.GradTape() as tape:
-                    rows = [nx.tensor(m, dtype=dtype) for m in mats]
-                    tape.watch(*rows, theta)
-                    out = loss_fn(EncodedBatch(*rows, labels=labels))
+                    m = nx.tensor(encoded, dtype=dtype)
+                    tape.watch(m, theta)
+                    out = loss_fn(EncodedBatch(m, rows, labels, masks))
                 grads = tape.gradient(out.loss)
-                results.append([out.loss.values, out.energies, np.array(out.degenerate_count)]
-                               + [grads[t] for t in rows] + [grads[theta]])
+                results.append([out.loss.values, out.energies, np.array(out.degenerate_count),
+                                grads[m], grads[theta]])
             for got, want in zip(*results):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_repeated_rows_accumulate_in_role_order(self, dtype):
+        """A sentence repeated within and across roles gets each role's
+        np.add.at sum of its masked gradients, the four sums added in d, c,
+        b, a order; a row no quadruple picks gets zero."""
+        rng = np.random.default_rng(26)
+        encoded = nx.tensor(rng.normal(size=(5, 6)), dtype=dtype)
+        rows = np.array([[0, 1, 0, 0], [1, 1, 2, 3], [0, 2, 0, 1], [3, 0, 0, 2]])
+        masks = _keep_scales(rng, (4, 4, 6), 0.25, dtype)
+        labels = np.array([1, 0, 1, 0])
+        hp = HyperParams(margin=0.1, loss_variant="literal")
+        with nx.GradTape() as tape:
+            tape.watch(encoded)
+            out = batch_loss(EncodedBatch(encoded, rows, labels, masks), hp)
+        got = tape.gradient(out.loss)[encoded]
+
+        roles = [encoded.values[r] * k for r, k in zip(rows, masks)]
+        fwd = batch_loss_forward(*roles, labels, hp)
+        role_grads = _batch_loss_grads(np.ones((), dtype=dtype), fwd, hp)
+        sums = []
+        for k in range(4):
+            z = np.zeros(encoded.shape, dtype=dtype)
+            np.add.at(z, rows[k], role_grads[k] * masks[k])
+            sums.append(z)
+        want = sums[3] + sums[2] + sums[1] + sums[0]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got[4], np.zeros(6))
+        assert np.count_nonzero(got[:4]) > 0
 
     def test_single_perfect_positive_is_zero(self):
         batch = _batch_from_shifts([[1.0, 0.0]], [[2.0, 0.0]], [1])
@@ -382,48 +440,45 @@ class TestBatchLoss:
         assert out.loss.item() == pytest.approx(0.5, abs=1e-9)
 
     def test_degenerate_row_gradient_finite_and_zero(self):
+        """The prototype question and answer share row 0, a zero shift."""
         with nx.GradTape() as tape:
-            f_qp = nx.tensor([[1.0, 1.0]], dtype=np.float64)
-            f_ap = nx.tensor([[1.0, 1.0]], dtype=np.float64)  # zero shift row
-            f_qi = nx.tensor([[1.0, 0.0]], dtype=np.float64)
-            f_ai = nx.tensor([[0.0, 0.0]], dtype=np.float64)
-            tape.watch(f_qp, f_qi)
-            batch = EncodedBatch(f_qp=f_qp, f_ap=f_ap, f_qi=f_qi, f_ai=f_ai, labels=np.array([1]))
+            encoded = nx.tensor([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]], dtype=np.float64)
+            tape.watch(encoded)
+            batch = EncodedBatch(encoded, np.array([[0], [0], [1], [2]]), np.array([1]))
             out = batch_loss(batch, HyperParams())
-        grads = tape.gradient(out.loss)
-        assert np.isfinite(grads[f_qp]).all() and np.isfinite(grads[f_qi]).all()
-        np.testing.assert_array_equal(grads[f_qp], np.zeros((1, 2)))
+        grad = tape.gradient(out.loss)[encoded]
+        assert np.isfinite(grad).all()
+        np.testing.assert_array_equal(grad, np.zeros((3, 2)))
 
     def test_gradients_pass_finite_difference(self):
-        """FD over each encoded matrix and an L2 parameter on a 2-row,
-        d=2 batch (both loss variants)."""
+        """FD over the encoded matrix, with masks and rows repeated within
+        and across roles, and over an L2 parameter, on a 2-row, d=2 batch
+        (both loss variants)."""
         rng = np.random.default_rng(23)
-        base = {name: rng.normal(size=(2, 2)) for name in ("qp", "ap", "qi", "ai")}
+        base = {"encoded": rng.normal(size=(5, 2)), "theta": rng.normal(size=4)}
+        rows = np.array([[0, 1], [2, 2], [3, 0], [4, 1]])
+        masks = rng.uniform(0.5, 2.0, size=(4, 2, 2))
         labels = np.array([1, 0])
-        theta0 = rng.normal(size=4)
 
         for variant in ("hinge", "literal"):
             hp = HyperParams(margin=0.25, loss_variant=variant, l2_lambda=0.01)
-            for which in ("qp", "ap", "qi", "ai", "theta"):
+            for which in base:
                 def f(t):
-                    mats = {k: (t if which == k else nx.tensor(base[k], dtype=t.dtype))
-                            for k in base}
-                    theta = t if which == "theta" else nx.tensor(theta0, dtype=t.dtype)
-                    b = EncodedBatch(f_qp=mats["qp"], f_ap=mats["ap"],
-                                     f_qi=mats["qi"], f_ai=mats["ai"], labels=labels)
-                    return batch_loss(b, hp, theta).loss
+                    args = {k: (t if which == k else nx.tensor(v, dtype=t.dtype)) for k, v in base.items()}
+                    b = EncodedBatch(args["encoded"], rows, labels, masks.astype(t.dtype))
+                    return batch_loss(b, hp, args["theta"]).loss
 
-                x0 = theta0 if which == "theta" else base[which]
-                err = nx.finite_difference_check(f, nx.tensor(x0, dtype=np.float64))
+                # eps as in the pipeline audit: 1e-4 steps leave truncation
+                # error near the 1e-7 tolerance on rows this short
+                err = nx.finite_difference_check(f, nx.tensor(base[which], dtype=np.float64), eps=1e-5)
                 assert err < 1e-7, f"{variant}/{which}: err={err}"
 
     def test_records_one_tape_node(self):
-        """The whole loss is one node; its inputs are the four encoded
-        matrices, plus theta when the L2 term is on."""
+        """The whole loss is one node; its input is the encoded matrix,
+        plus theta when the L2 term is on."""
         batch = _batch_from_shifts([[1.0, 0.0]], [[0.5, 0.5]], [1])
         theta = nx.tensor([1.0, 2.0], dtype=np.float64)
-        rows = (batch.f_qp, batch.f_ap, batch.f_qi, batch.f_ai)
-        for lam, inputs in ((0.0, rows), (0.01, rows + (theta,))):
+        for lam, inputs in ((0.0, (batch.encoded,)), (0.01, (batch.encoded, theta))):
             with nx.GradTape() as tape:
                 batch_loss(batch, HyperParams(l2_lambda=lam), theta)
             assert len(tape._nodes) == 1
@@ -442,8 +497,8 @@ class TestBatchLoss:
             fwd = batch_loss_forward(*mats, labels, hp, theta)
             assert fwd.loss.shape == (P,) and fwd.energies.shape == (P, B)
             for k in range(P):
-                batch = EncodedBatch(*(nx.tensor(m[k], dtype=np.float64) for m in mats), labels=labels)
-                out = batch_loss(batch, hp, nx.tensor(theta[k], dtype=np.float64))
+                out = batch_loss(_stacked([m[k] for m in mats], labels), hp,
+                                 nx.tensor(theta[k], dtype=np.float64))
                 assert fwd.loss[k] == out.loss.item()
                 np.testing.assert_array_equal(fwd.energies[k], out.energies)
 
@@ -468,17 +523,29 @@ class TestBatchLoss:
             assert energy(ShiftPair(-cand * e1, -proto * e1)) == (ranked.entries[0].score, degenerate)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises((ShapeError, ValueError)):
-            EncodedBatch(f_qp=nx.tensor(np.zeros((0, 2))), f_ap=nx.tensor(np.zeros((0, 2))),
-                         f_qi=nx.tensor(np.zeros((0, 2))), f_ai=nx.tensor(np.zeros((0, 2))),
-                         labels=np.zeros(0))
+        with pytest.raises(ShapeError):
+            EncodedBatch(nx.tensor(np.zeros((2, 2))), np.zeros((4, 0), dtype=int), np.zeros(0))
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
             _batch_from_shifts([[1.0, 0.0]], [[1.0, 0.0]], [2])
 
+    def test_bad_rows_rejected(self):
+        """Rows must be a (4, B) int table of indices into the encoded
+        matrix."""
+        m = nx.tensor(np.zeros((3, 2)))
+        for rows in ([[3]] * 4, [[-1]] * 4, [[0]] * 3, [0, 1, 2, 0], [[0.0]] * 4):
+            with pytest.raises(ShapeError):
+                EncodedBatch(m, np.array(rows), np.zeros(len(np.atleast_2d(rows)[0])))
+
     def test_shape_validation(self):
+        m = nx.tensor(np.zeros((3, 2)))
+        rows = np.zeros((4, 2), dtype=int)
         with pytest.raises(ShapeError):
-            EncodedBatch(f_qp=nx.tensor(np.zeros((2, 3))), f_ap=nx.tensor(np.zeros((2, 2))),
-                         f_qi=nx.tensor(np.zeros((2, 3))), f_ai=nx.tensor(np.zeros((2, 3))),
-                         labels=np.zeros(2))
+            EncodedBatch(nx.tensor(np.zeros(3)), rows, np.zeros(2))
+        with pytest.raises(ShapeError):
+            EncodedBatch(m, rows, np.zeros(3))
+        for masks in (np.ones((4, 2, 3), np.float32), np.ones((4, 2), np.float32),
+                      np.ones((4, 2, 2), np.float32)):
+            with pytest.raises(ShapeError):
+                EncodedBatch(m, rows, np.zeros(2), masks)

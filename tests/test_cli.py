@@ -148,6 +148,52 @@ class TestDataErrors:
         assert f"tensor {name} has non-finite values" in err
         assert "weights.bin" in err
 
+    def test_aliased_tensor_rejected(self, capsys, checkpoint, corpus_dir, tmp_path):
+        """forward.U_z pointed at offset 0, so that it would alias
+        forward.W_z, with 64 junk bytes appended to keep every read in
+        range: eval refuses the manifest line with status 2."""
+        broken = tmp_path / "alias"
+        shutil.copytree(checkpoint, broken)
+        lines = (broken / "manifest.txt").read_text().splitlines()
+        cols = lines[1].split("\t")
+        assert cols[0] == "forward.U_z"
+        lines[1] = "\t".join(cols[:2] + ["0"])
+        (broken / "manifest.txt").write_text("".join(line + "\n" for line in lines))
+        with open(broken / "weights.bin", "ab") as fh:
+            fh.write(bytes(64))
+        rc, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
+                                   "--data", str(corpus_dir / "heldout.tsv"),
+                                   "--embeddings", str(corpus_dir / "vectors.vec")])
+        assert rc == 2
+        assert "manifest.txt: line 2: tensor forward.U_z" in err
+
+    @pytest.mark.parametrize("extra", [4, 64])
+    def test_trailing_weight_bytes_rejected(self, capsys, checkpoint, corpus_dir, tmp_path, extra):
+        broken = tmp_path / "trailing"
+        shutil.copytree(checkpoint, broken)
+        with open(broken / "weights.bin", "ab") as fh:
+            fh.write(bytes(extra))
+        rc, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
+                                   "--data", str(corpus_dir / "heldout.tsv"),
+                                   "--embeddings", str(corpus_dir / "vectors.vec")])
+        assert rc == 2
+        assert f"weights.bin: {extra} bytes after the" in err
+
+    @pytest.mark.parametrize("cut, message", [(-1, "line 18: tensor backward.b_h: got end of file"),
+                                              (None, "line 19: unexpected line after the 18 tensors")],
+                             ids=["missing-line", "extra-line"])
+    def test_manifest_line_count_checked(self, capsys, checkpoint, corpus_dir, tmp_path, cut, message):
+        broken = tmp_path / "lines"
+        shutil.copytree(checkpoint, broken)
+        lines = (broken / "manifest.txt").read_text().splitlines()
+        lines = lines[:cut] if cut else lines + [lines[-1]]
+        (broken / "manifest.txt").write_text("".join(line + "\n" for line in lines))
+        rc, _, err = _run(capsys, ["eval", "--checkpoint", str(broken),
+                                   "--data", str(corpus_dir / "heldout.tsv"),
+                                   "--embeddings", str(corpus_dir / "vectors.vec")])
+        assert rc == 2
+        assert message in err
+
     @pytest.mark.parametrize("row, col, value", [(2, 1, "4,5"), (3, 1, "four"), (5, 2, "0x10")],
                              ids=["shape-disagrees-with-config", "non-integer-shape", "non-integer-offset"])
     def test_bad_manifest_entry_names_file_and_line(self, capsys, checkpoint, corpus_dir, tmp_path,
@@ -285,6 +331,18 @@ class TestTrain:
         assert (a / LOSS_LOG_FILE).read_bytes() == (b / LOSS_LOG_FILE).read_bytes()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["lr", "weight-decay", "dropout", "margin", "l2-lambda", "clip-norm"])
+    def test_non_finite_setting_rejected(self, capsys, corpus_dir, tmp_path, flag, value):
+        out = tmp_path / "model"
+        rc, _, err = _run(capsys, ["train", "--data", str(corpus_dir / "train.tsv"),
+                                   "--embeddings", str(corpus_dir / "vectors.vec"),
+                                   "--prototypes", "2", "--epochs", "1", "--dim", "8",
+                                   f"--{flag}={value}", "--out", str(out)])
+        assert rc == 2
+        assert f"{flag.replace('-', '_')} must be a finite number, got {float(value)}" in err
+        assert not out.exists()
+
 class TestRankEval:
     def test_rank_rows(self, capsys, checkpoint, corpus_dir):
         rc, out, _ = _run(capsys, ["rank", "--checkpoint", str(checkpoint),
@@ -366,6 +424,13 @@ class TestCheckGradients:
         assert rc == 0
         assert out.startswith("f64:")
 
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_instance_count_below_one_rejected(self, capsys, count):
+        rc, out, err = _run(capsys, ["check-gradients", f"--instances={count}"])
+        assert rc == 2
+        assert out == ""
+        assert f"--instances must be at least 1, got {count}" in err
 
 class TestConfigResolution:
     def test_read_config_file(self, tmp_path):

@@ -335,18 +335,20 @@ class TestEncodeBatch:
         with pytest.raises(ValueError, match="row 1"):
             encode_batch([("alpha",), ()], table, params)
 
+    def _dropped(self, seed):
+        """The batch's rows times the first role's dropout mask for seed."""
+        table, params, sentences = self._setup(np.float64)
+        out = encode_batch(sentences, table, params)
+        masks = training._dropout_masks(training.TrainConfig(dropout=0.5, seed=seed), 1, 0, out.shape, out.dtype)
+        return out.values * masks[0]
+
     def test_dropout_rows_use_distinct_masks(self):
         """Training's dropout on an encoded batch masks each row on its own."""
-        table, params, sentences = self._setup(np.float64)
-        out = training._dropout(encode_batch(sentences, table, params), 0.5, 2)
-        zero_patterns = {tuple(row == 0) for row in out.values}
+        zero_patterns = {tuple(row == 0) for row in self._dropped(2)}
         assert len(zero_patterns) > 1
 
     def test_dropout_deterministic(self):
-        table, params, sentences = self._setup(np.float64)
-        a = training._dropout(encode_batch(sentences, table, params), 0.5, 9)
-        b = training._dropout(encode_batch(sentences, table, params), 0.5, 9)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(self._dropped(9), self._dropped(9))
 
 
 def _sentences(count, seed=3, words=("alpha", "beta", "gamma", "delta", "oov")):

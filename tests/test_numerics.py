@@ -454,45 +454,6 @@ class TestOpGradients:
             nx.blend(z, np.array([1.0, 2.0]), nx.tensor([1.0, 2.0]))
 
 
-class TestGatherRows:
-    def test_values_follow_numpy_indexing(self):
-        m = nx.tensor(np.arange(12.0).reshape(4, 3))
-        np.testing.assert_array_equal(nx.gather_rows(m, [2, 0, 2]).values, m.values[[2, 0, 2]])
-        np.testing.assert_array_equal(nx.gather_rows(m, 1).values, m.values[1])
-
-    def test_repeated_rows_accumulate_gradients(self):
-        """Each source row collects the gradient of every copy of it; a row
-        never picked gets zero."""
-        idx = np.array([1, 3, 1, 1, 0])
-
-        def mk(dtype, rng):
-            w = nx.tensor(rng.normal(size=(5, 3)), dtype=dtype)
-            return lambda t: nx.sum_all(nx.hadamard(nx.gather_rows(t, idx), w))
-        _check_both_precisions(mk, lambda rng: rng.normal(size=(4, 3)))
-
-        w = np.arange(15.0).reshape(5, 3)
-        with nx.GradTape() as tape:
-            m = nx.tensor(np.ones((4, 3)), dtype=np.float64)
-            tape.watch(m)
-            loss = nx.sum_all(nx.hadamard(nx.gather_rows(m, idx), nx.tensor(w, dtype=np.float64)))
-        g = tape.gradient(loss)[m]
-        np.testing.assert_array_equal(g, [w[4], w[0] + w[2] + w[3], np.zeros(3), w[1]])
-
-    def test_single_row_gradient(self):
-        def mk(dtype, rng):
-            w = nx.tensor(rng.normal(size=3), dtype=dtype)
-            return lambda t: nx.matmul(nx.gather_rows(t, 2), w)
-        _check_both_precisions(mk, lambda rng: rng.normal(size=(4, 3)))
-
-    def test_bad_indices_rejected(self):
-        m = nx.tensor(np.zeros((3, 2)))
-        for idx in ([3], [-1], [], [[0]], [0.0]):
-            with pytest.raises(nx.ShapeError):
-                nx.gather_rows(m, idx)
-        with pytest.raises(nx.ShapeError):
-            nx.gather_rows(nx.tensor(np.zeros(3)), [0])
-
-
 class TestTieRouting:
     def test_maxpool_gradient_goes_to_earliest_max_row(self):
         with nx.GradTape() as tape:

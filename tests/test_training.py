@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from analogia import encoder, training
-from analogia import numerics as nx
 from analogia.encoder import EncoderParams, derive_seed
-from analogia.numerics import GradTape, Tensor, _active_tape
+from analogia.numerics import GradTape, Tensor
 from analogia.quadgen import Prototype, generate_training_quadruples, select_prototypes
 from analogia.text_data import Candidate, ConfigError, EmbeddingTable, ParseError, QADataset, Question, classify_question, tokenize
 from analogia.training import (
@@ -267,38 +266,36 @@ class TestTrain:
 
 
 class TestDropout:
-    """training._dropout: inverted dropout on the tape, one mask per seed."""
+    """training._dropout_masks: each role's inverted-dropout scales for one
+    step, drawn from (seed, epoch, batch offset, role)."""
 
-    def _rows(self, dtype=np.float32):
-        return nx.tensor(np.random.default_rng(0).uniform(0.1, 1.0, size=(4, 8)), dtype=dtype)
+    def _masks(self, rate, seed=0, epoch=1, batch_idx=0, dtype=np.float32):
+        return training._dropout_masks(TrainConfig(dropout=rate, seed=seed), epoch, batch_idx,
+                                       (4, 8), dtype)
 
     def test_rate_zero_is_identity(self):
-        m = self._rows()
-        with GradTape() as tape:
-            tape.watch(m)
-            assert training._dropout(m, 0.0, 1) is m
-        assert tape._nodes == []
+        assert self._masks(0.0) is None
 
     def test_training_mask_zeroes_or_rescales(self):
-        m = self._rows()
-        dropped = training._dropout(m, 0.5, 3).values
-        assert dropped.dtype == np.float32
-        keep = dropped != 0
-        np.testing.assert_array_equal(dropped[keep], m.values[keep] * 2.0)
-        assert 0 < keep.sum() < keep.size  # seed 3 both keeps and drops here
+        masks = self._masks(0.5, seed=3)
+        assert masks.shape == (4, 4, 8) and masks.dtype == np.float32
+        assert set(np.unique(masks)) == {0.0, 2.0}
 
     def test_mask_deterministic_given_seed(self):
-        m = self._rows(np.float64)
-        a, b = training._dropout(m, 0.5, 7), training._dropout(m, 0.5, 7)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, training._dropout(m, 0.5, 8).values)
-        keep = np.random.default_rng(7).random(m.shape) >= 0.5
-        np.testing.assert_array_equal(a.values, m.values * (keep / 0.5))
+        a, b = self._masks(0.5, seed=7, dtype=np.float64), self._masks(0.5, seed=7, dtype=np.float64)
+        np.testing.assert_array_equal(a, b)
+        for other in (self._masks(0.5, seed=8), self._masks(0.5, seed=7, epoch=2),
+                      self._masks(0.5, seed=7, batch_idx=4)):
+            assert not np.array_equal(a, other)
+        for k, role in enumerate("abcd"):
+            keep = np.random.default_rng(derive_seed(7, "dropout", 1, 0, role)).random((4, 8)) >= 0.5
+            np.testing.assert_array_equal(a[k], keep.astype(np.float64) / 0.5)
 
 
 class TestTrainingStep:
-    """Each step encodes the batch's distinct sentences in one call, gathers
-    each role's rows, then applies that role's own dropout mask."""
+    """Each step encodes the batch's distinct sentences in one call; the
+    loss takes each role's rows of that matrix and applies the role's own
+    dropout mask."""
 
     CFG = TrainConfig(epochs=2, batch_size=16, dim=8, seed=3, dropout=0.5)
 
@@ -307,21 +304,25 @@ class TestTrainingStep:
         sentences and matrix, the tape size when batch_loss starts, the
         tape size at gradient time, and the batch handed to batch_loss."""
         ds, table, protos = _toy_world()
-        steps = []
+        steps, tapes = [], []
         encode_batch, batch_loss = training.encode_batch, training.batch_loss
 
         class RecordingTape(GradTape):
+            def __enter__(self):
+                tapes.append(self)
+                return super().__enter__()
+
             def gradient(self, loss):
                 steps[-1]["nodes"] = len(self._nodes)
                 return super().gradient(loss)
 
         def recording_encode_batch(sentences, *args, **kwargs):
             out = encode_batch(sentences, *args, **kwargs)
-            steps.append({"sentences": list(sentences), "encoded": out.values})
+            steps.append({"sentences": list(sentences), "encoded": out})
             return out
 
         def recording_batch_loss(batch, *args, **kwargs):
-            steps[-1]["encoder_nodes"] = len(_active_tape()._nodes)
+            steps[-1]["encoder_nodes"] = len(tapes[-1]._nodes)
             steps[-1]["batch"] = batch
             return batch_loss(batch, *args, **kwargs)
 
@@ -332,20 +333,23 @@ class TestTrainingStep:
         return steps, res, ds, protos
 
     def test_one_encoder_call_and_few_tape_nodes_per_step(self, monkeypatch):
+        """Two nodes a step: the encoder's, then the loss's over the
+        encoded matrix."""
         steps, res, _, _ = self._run(monkeypatch)
         batches = -(-res.quadruple_count // self.CFG.batch_size)
         assert len(steps) == self.CFG.epochs * batches
         for step in steps:
             assert len(set(step["sentences"])) == len(step["sentences"])
-            assert step["encoder_nodes"] <= 9
-            assert step["nodes"] <= 10
+            assert step["batch"].encoded is step["encoded"]
+            assert step["encoder_nodes"] == 1
+            assert step["nodes"] == 2
         # prototype sentences repeat, so some step encodes fewer rows than 4B
         assert any(len(step["sentences"]) < 4 * step["batch"].size for step in steps)
 
     def test_role_rows_carry_the_per_role_masks(self, monkeypatch):
-        """Row i of role r is the encoding of quadruple i's r sentence times
-        the inverted-dropout mask drawn from (seed, epoch, batch offset,
-        role) for the (B, d) shape."""
+        """Row i of role r is the encoding of quadruple i's r sentence, and
+        its mask is the inverted-dropout mask drawn from (seed, epoch,
+        batch offset, role) for the (B, d) shape."""
         steps, res, ds, protos = self._run(monkeypatch)
         cfg = self.CFG
         quads = generate_training_quadruples(ds, protos, negatives_per_positive=cfg.negatives_per_positive,
@@ -356,14 +360,19 @@ class TestTrainingStep:
             for batch_idx in range(0, len(order), cfg.batch_size):
                 chunk = [quads[i] for i in order[batch_idx:batch_idx + cfg.batch_size]]
                 rec = next(step)
-                for role, got in zip("abcd", (rec["batch"].f_qp, rec["batch"].f_ap,
-                                              rec["batch"].f_qi, rec["batch"].f_ai)):
+                batch = rec["batch"]
+                for k, role in enumerate("abcd"):
                     rows = [rec["sentences"].index(getattr(q, role)) for q in chunk]
+                    np.testing.assert_array_equal(batch.rows[k], rows)
                     rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, batch_idx, role))
                     mask = (rng.random((len(chunk), cfg.dim)) >= cfg.dropout) / (1.0 - cfg.dropout)
-                    want = rec["encoded"][rows] * mask.astype(np.float32)
-                    np.testing.assert_array_equal(got.values, want)
+                    assert batch.masks[k].tobytes() == mask.astype(np.float32).tobytes()
         assert next(step, None) is None
+
+    def test_rate_zero_passes_no_masks(self, monkeypatch):
+        monkeypatch.setattr(self, "CFG", replace(self.CFG, dropout=0.0))
+        steps, _, _, _ = self._run(monkeypatch)
+        assert all(step["batch"].masks is None for step in steps)
 
     def test_seeded_runs_bit_identical_with_repeated_sentences(self):
         """One step per epoch over the whole toy set, where prototype and
@@ -424,6 +433,13 @@ class TestCheckpoint:
         out, _, config, _ = self._roundtrip(tmp_path)
         meta = json.load(open(os.path.join(out, "config.json")))
         assert meta["epochs"] == config["epochs"]
+
+    def test_non_finite_config_value_writes_nothing(self, tmp_path):
+        params = EncoderParams.initialize(input_dim=2, hidden=1, seed=0)
+        out = os.path.join(tmp_path, "ckpt")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_checkpoint(out, params, {"l2_lambda": float("nan")}, {})
+        assert not os.path.exists(out)
 
     def test_missing_file_raises(self, tmp_path):
         out, _, _, _ = self._roundtrip(tmp_path)
