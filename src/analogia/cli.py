@@ -14,6 +14,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,18 +102,21 @@ def read_config_file(path) -> dict[str, str]:
     return values
 
 
+@dataclass(frozen=True)
 class _Opt:
     """One resolvable option: flag name, parser, default."""
 
-    def __init__(self, name, cast, default, help, choices=None, flag=False, required=False):
-        self.name = name
-        self.dest = name.replace("-", "_")
-        self.cast = cast
-        self.default = default
-        self.help = help
-        self.choices = choices
-        self.flag = flag
-        self.required = required
+    name: str
+    cast: object
+    default: object
+    help: str
+    choices: tuple | None = None
+    flag: bool = False
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
 
     def register(self, parser):
         if self.flag:
@@ -150,118 +154,102 @@ def _seed_default() -> int:
         raise ConfigError(f"ANALOGIA_SEED must be an integer, got {raw!r}") from None
 
 
+def _setting(name, cast, help, **kw) -> _Opt:
+    """train's flag for the TrainConfig or HyperParams field ``name``,
+    with the field's own default."""
+    owner = HyperParams if name in HyperParams.__dataclass_fields__ else TrainConfig
+    return _Opt(name.replace("_", "-"), cast, getattr(owner, name), help, **kw)
+
+
 _COMMON = [
     _Opt("config", str, None, "flat key-value config file; flags override it"),
     _Opt("verbose", None, False, "log progress to stderr", flag=True),
 ]
 
 _SEED = _Opt("seed", int, None, "RNG seed (default: $ANALOGIA_SEED or 0)")
+_DATA = _Opt("data", str, None, "QA dataset TSV", required=True)
+_EMBEDDINGS = _Opt("embeddings", str, None, "word-vector text file", required=True)
+_CHECKPOINT = _Opt("checkpoint", str, None, "trained checkpoint directory", required=True)
+_HAS_HEADER = _Opt("has-header", None, False, "skip the first dataset line", flag=True)
+_MODE = _Opt("mode", str, ENERGY_MODE, "scoring mode", choices=RANK_MODES)
+_PROTOTYPES = _Opt("prototypes", int, 5, "prototypes per wh-type")
+_TYPES = _Opt("types", _parse_types, WH_TYPES, "comma-separated wh-types to keep")
+_PROTO_DATA = _Opt("proto-data", str, None, "dataset to draw prototypes from (default: --data)")
+_NEGATIVES = _setting("negatives_per_positive", int, "sampled negatives per positive quadruple")
+_OUT = _Opt("out", str, None, "output TSV path (default: stdout)")
+_REPORT = _Opt("report", str, None, "report TSV path (default: stdout)")
+
+# train's settings, in --help order.  _cmd_train passes each one, and the
+# seed, to HyperParams or TrainConfig and records it in config.json.
+_SETTINGS = (
+    _setting("epochs", int, "training epochs"),
+    _setting("batch_size", int, "quadruples per batch"),
+    _setting("lr", float, "learning rate"),
+    _setting("weight_decay", float, "decoupled weight decay rate"),
+    _setting("dropout", float, "dropout rate on pooled sentence vectors"),
+    _setting("margin", float, "negative-pair margin"),
+    _setting("loss_variant", str, "negative branch form", choices=LOSS_VARIANTS),
+    _setting("l2_lambda", float, "explicit L2 coefficient on encoder weights"),
+    _setting("dim", int, "sentence vector dimension (must be even)"),
+    _NEGATIVES,
+    _setting("clip_norm", float, "global gradient-norm clip (off by default)"),
+)
 
 _OPTIONS = {
-    "gen-quadruples": [
-        _Opt("data", str, None, "QA dataset TSV", required=True),
-        _Opt("prototypes", int, 5, "prototypes per wh-type"),
-        _Opt("types", _parse_types, WH_TYPES, "comma-separated wh-types to keep"),
-        _Opt("negatives-per-positive", int, 1, "sampled negatives per positive quadruple"),
-        _Opt("has-header", None, False, "skip the first dataset line", flag=True),
-        _SEED,
-        _Opt("out", str, None, "output TSV path (default: stdout)"),
-    ],
-    "train": [
-        _Opt("data", str, None, "training QA dataset TSV", required=True),
-        _Opt("embeddings", str, None, "word-vector text file", required=True),
-        _Opt("prototypes", int, 5, "prototypes per wh-type"),
-        _Opt("types", _parse_types, WH_TYPES, "comma-separated wh-types to train on"),
-        _Opt("epochs", int, 20, "training epochs"),
-        _Opt("batch-size", int, 32, "quadruples per batch"),
-        _Opt("lr", float, 0.001, "learning rate"),
-        _Opt("weight-decay", float, 0.01, "decoupled weight decay rate"),
-        _Opt("dropout", float, 0.5, "dropout rate on pooled sentence vectors"),
-        _Opt("margin", float, 0.0, "negative-pair margin"),
-        _Opt("loss-variant", str, "hinge", "negative branch form", choices=LOSS_VARIANTS),
-        _Opt("l2-lambda", float, 0.0, "explicit L2 coefficient on encoder weights"),
-        _Opt("dim", int, 300, "sentence vector dimension (must be even)"),
-        _Opt("negatives-per-positive", int, 1, "sampled negatives per positive quadruple"),
-        _Opt("clip-norm", float, None, "global gradient-norm clip (off by default)"),
-        _Opt("has-header", None, False, "skip the first dataset line", flag=True),
-        _SEED,
-        _Opt("out", str, None, "checkpoint directory", required=True),
-    ],
-    "rank": [
-        _Opt("checkpoint", str, None, "trained checkpoint directory", required=True),
-        _Opt("data", str, None, "QA dataset TSV to rank", required=True),
-        _Opt("embeddings", str, None, "word-vector text file", required=True),
-        _Opt("mode", str, ENERGY_MODE, "scoring mode", choices=RANK_MODES),
-        _Opt("has-header", None, False, "skip the first dataset line", flag=True),
-        _Opt("out", str, None, "ranking TSV path (default: stdout)"),
-    ],
-    "eval": [
-        _Opt("checkpoint", str, None, "trained checkpoint directory", required=True),
-        _Opt("data", str, None, "QA dataset TSV to evaluate", required=True),
-        _Opt("embeddings", str, None, "word-vector text file", required=True),
-        _Opt("mode", str, ENERGY_MODE, "scoring mode", choices=RANK_MODES),
-        _Opt("has-header", None, False, "skip the first dataset line", flag=True),
-        _Opt("report", str, None, "report TSV path (default: stdout)"),
-    ],
-    "baseline": [
-        _Opt("data", str, None, "QA dataset TSV to evaluate", required=True),
-        _Opt("embeddings", str, None, "word-vector text file", required=True),
-        _Opt("proto-data", str, None, "dataset to draw prototypes from (default: --data)"),
-        _Opt("prototypes", int, 5, "prototypes per wh-type"),
-        _Opt("types", _parse_types, WH_TYPES, "comma-separated wh-types to keep"),
-        _Opt("method", str, "mean", "baseline scorer", choices=("mean", "random")),
-        _Opt("mode", str, ENERGY_MODE, "scoring mode (mean method only)", choices=RANK_MODES),
-        _Opt("has-header", None, False, "skip the first dataset line", flag=True),
-        _SEED,
-        _Opt("report", str, None, "report TSV path (default: stdout)"),
-    ],
-    "sweep-prototypes": [
-        _Opt("checkpoint", str, None, "trained checkpoint directory", required=True),
-        _Opt("data", str, None, "QA dataset TSV to evaluate", required=True),
-        _Opt("embeddings", str, None, "word-vector text file", required=True),
-        _Opt("proto-data", str, None, "dataset to draw prototypes from (default: --data)"),
-        _Opt("p", _parse_p_list, (10, 20, 30, 40, 50), "comma-separated prototype counts"),
-        _Opt("mode", str, ENERGY_MODE, "scoring mode", choices=RANK_MODES),
-        _Opt("has-header", None, False, "skip the first dataset line", flag=True),
-        _SEED,
-        _Opt("out", str, None, "sweep table TSV path (default: stdout)"),
-    ],
-    "check-gradients": [
-        _Opt("instances", int, 50, "random pipeline instances per precision"),
-        _Opt("precision", str, "both", "which working precisions to check",
-             choices=("f32", "f64", "both")),
-        _SEED,
-    ],
+    "gen-quadruples": [_DATA, _PROTOTYPES, _TYPES, _NEGATIVES, _HAS_HEADER, _SEED, _OUT],
+    "train": [_DATA, _EMBEDDINGS, _PROTOTYPES, _TYPES, *_SETTINGS, _HAS_HEADER, _SEED,
+              _Opt("out", str, None, "checkpoint directory", required=True)],
+    "rank": [_CHECKPOINT, _DATA, _EMBEDDINGS, _MODE, _HAS_HEADER, _OUT],
+    "eval": [_CHECKPOINT, _DATA, _EMBEDDINGS, _MODE, _HAS_HEADER, _REPORT],
+    "baseline": [_DATA, _EMBEDDINGS, _PROTO_DATA, _PROTOTYPES, _TYPES,
+                 _Opt("method", str, "mean", "baseline scorer; --mode applies to mean",
+                      choices=("mean", "random")),
+                 _MODE, _HAS_HEADER, _SEED, _REPORT],
+    "sweep-prototypes": [_CHECKPOINT, _DATA, _EMBEDDINGS, _PROTO_DATA,
+                         _Opt("p", _parse_p_list, (10, 20, 30, 40, 50), "comma-separated prototype counts"),
+                         _MODE, _HAS_HEADER, _SEED, _OUT],
+    "check-gradients": [_Opt("instances", int, 50, "random pipeline instances per precision"),
+                        _Opt("precision", str, "both", "which working precisions to check",
+                             choices=("f32", "f64", "both")), _SEED],
 }
+
+_VALUE_FLAGS = {f"--{opt.name}" for opts in _OPTIONS.values() for opt in opts + _COMMON if not opt.flag}
+
+
+def _join_negative_values(argv) -> list[str]:
+    """argv with a negative number after a value flag joined to it, as
+    --flag=value: argparse takes -1e-3 or -inf for an option of its own."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and _is_number(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="analogia",
                      description="analogy-based answer ranking over wh-questions")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    summaries = {
-        "gen-quadruples": "dump labeled training quadruples as TSV",
-        "train": "fit the recurrent encoder and write a checkpoint",
-        "rank": "score and order every question's candidates",
-        "eval": "per-type MAP/MRR report for a checkpoint",
-        "baseline": "mean-embedding or random ranking report",
-        "sweep-prototypes": "re-evaluate across prototype pool sizes",
-        "check-gradients": "finite-difference check of the full loss pipeline",
-    }
     for name, options in _OPTIONS.items():
-        p = sub.add_parser(name, help=summaries[name], add_help=True)
+        p = sub.add_parser(name, help=_COMMANDS[name][0], add_help=True)
         for opt in options + _COMMON:
             opt.register(p)
     return parser
 
 
 def _resolve_options(ns) -> dict:
-    file_cfg = {}
-    if ns.config is not None:
-        file_cfg = read_config_file(ns.config)
-    cfg = {}
-    for opt in _OPTIONS[ns.command] + _COMMON:
-        cfg[opt.dest] = opt.resolve(ns, file_cfg, ns.config)
+    file_cfg = read_config_file(ns.config) if ns.config is not None else {}
+    cfg = {opt.dest: opt.resolve(ns, file_cfg, ns.config) for opt in _OPTIONS[ns.command] + _COMMON}
     if "seed" in cfg and cfg["seed"] is None:
         cfg["seed"] = _seed_default()
     return cfg
@@ -275,20 +263,20 @@ def _emit_text(path, text) -> None:
         _log.info("wrote %s", path)
 
 
-def _load_inputs(cfg):
-    return load_qa_dataset(cfg["data"], has_header=cfg["has_header"]), load_embeddings(cfg["embeddings"])
+def _dataset(cfg, path=None):
+    """The QA dataset at ``path``, or at --data, read as --has-header says."""
+    return load_qa_dataset(path or cfg["data"], has_header=cfg["has_header"])
 
 
 def _proto_dataset(cfg, dataset):
     """The --proto-data dataset, or the --data one, ``dataset``, when
     --proto-data is unset or names the same file."""
     path = cfg["proto_data"] or cfg["data"]
-    return dataset if path == cfg["data"] else load_qa_dataset(path, has_header=cfg["has_header"])
+    return dataset if path == cfg["data"] else _dataset(cfg, path)
 
 
 def _select(cfg, dataset):
-    protos = select_prototypes(dataset, cfg["prototypes"],
-                               seed=derive_seed(cfg["seed"], "prototypes"))
+    protos = select_prototypes(dataset, cfg["prototypes"], seed=derive_seed(cfg["seed"], "prototypes"))
     return {wh: (protos[wh] if wh in cfg["types"] else []) for wh in protos}
 
 
@@ -305,12 +293,12 @@ def _checkpoint_encoder(cfg):
 
 def _evaluate_checkpoint(cfg):
     encode_fn, protos = _checkpoint_encoder(cfg)
-    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
+    dataset = _dataset(cfg)
     return evaluate(encode_fn, dataset, protos, mode=cfg["mode"])
 
 
-def _cmd_gen_quadruples(cfg) -> int:
-    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
+def _cmd_gen_quadruples(cfg) -> None:
+    dataset = _dataset(cfg)
     protos = _select(cfg, dataset)
     quads = generate_training_quadruples(dataset, protos,
                                          negatives_per_positive=cfg["negatives_per_positive"],
@@ -319,68 +307,51 @@ def _cmd_gen_quadruples(cfg) -> int:
         raise ConfigError("no quadruples: dataset has no answerable non-prototype questions")
     _log.info("generated %d quadruples", len(quads))
     _emit_text(cfg["out"], quadruples_to_tsv(quads))
-    return 0
 
 
-def _cmd_train(cfg) -> int:
-    dataset, table = _load_inputs(cfg)
+def _cmd_train(cfg) -> None:
+    dataset, table = _dataset(cfg), load_embeddings(cfg["embeddings"])
     protos = _select(cfg, dataset)
-    hp = HyperParams(margin=cfg["margin"], loss_variant=cfg["loss_variant"],
-                     l2_lambda=cfg["l2_lambda"])
-    train_cfg = TrainConfig(lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-                            dropout=cfg["dropout"], epochs=cfg["epochs"],
-                            batch_size=cfg["batch_size"], seed=cfg["seed"], hp=hp,
-                            dim=cfg["dim"],
-                            negatives_per_positive=cfg["negatives_per_positive"],
-                            clip_norm=cfg["clip_norm"])
+    settings = {opt.dest: cfg[opt.dest] for opt in _SETTINGS} | {"seed": cfg["seed"]}
+    loss = {name: settings[name] for name in HyperParams.__dataclass_fields__}
+    train_cfg = TrainConfig(hp=HyperParams(**loss), **{k: v for k, v in settings.items() if k not in loss})
     result = train(train_cfg, dataset, protos, table)
-    meta = {
-        "data": cfg["data"], "embeddings": cfg["embeddings"],
-        "prototypes": cfg["prototypes"], "types": ",".join(cfg["types"]),
-        "epochs": cfg["epochs"], "batch_size": cfg["batch_size"],
-        "lr": cfg["lr"], "weight_decay": cfg["weight_decay"], "dropout": cfg["dropout"],
-        "margin": cfg["margin"], "loss_variant": cfg["loss_variant"],
-        "l2_lambda": cfg["l2_lambda"], "dim": cfg["dim"],
-        "negatives_per_positive": cfg["negatives_per_positive"], "seed": cfg["seed"],
-        "quadruples": result.quadruple_count,
-    }
-    save_checkpoint(cfg["out"], result.params, meta, result.prototypes)
+    meta = {"data": cfg["data"], "embeddings": cfg["embeddings"], "has_header": cfg["has_header"] or None,
+            "prototypes": cfg["prototypes"], "types": ",".join(cfg["types"]),
+            "quadruples": result.quadruple_count, **settings}
+    save_checkpoint(cfg["out"], result.params, {k: v for k, v in meta.items() if v is not None},
+                    result.prototypes)
     atomic_write_text(os.path.join(cfg["out"], LOSS_LOG_FILE), loss_log_to_tsv(result.loss_log))
     _log.info("checkpoint written to %s", cfg["out"])
-    return 0
 
 
-def _cmd_rank(cfg) -> int:
+def _cmd_rank(cfg) -> None:
     _emit_text(cfg["out"], rankings_to_tsv(_evaluate_checkpoint(cfg).rankings))
-    return 0
 
 
-def _cmd_eval(cfg) -> int:
+def _cmd_eval(cfg) -> None:
     _emit_text(cfg["report"], _evaluate_checkpoint(cfg).report.to_tsv())
-    return 0
 
 
-def _cmd_baseline(cfg) -> int:
-    dataset, table = _load_inputs(cfg)
+def _cmd_baseline(cfg) -> None:
+    dataset, table = _dataset(cfg), load_embeddings(cfg["embeddings"])
     protos = _select(cfg, _proto_dataset(cfg, dataset))
     if cfg["method"] == "mean":
         result = baseline_rank(dataset, table, protos, mode=cfg["mode"])
     else:
         result = random_rank(dataset, protos, seed=derive_seed(cfg["seed"], "scores"))
     _emit_text(cfg["report"], result.report.to_tsv())
-    return 0
 
 
-def _cmd_sweep(cfg) -> int:
+def _cmd_sweep(cfg) -> None:
     encode_fn, _ = _checkpoint_encoder(cfg)
-    dataset = load_qa_dataset(cfg["data"], has_header=cfg["has_header"])
+    dataset = _dataset(cfg)
     result = sweep_prototypes(encode_fn, dataset, _proto_dataset(cfg, dataset), p_values=cfg["p"],
                               seed=cfg["seed"], mode=cfg["mode"])
     _emit_text(cfg["out"], result.to_tsv())
-    return 0
 
 
-def _cmd_check_gradients(cfg) -> int:
+def _cmd_check_gradients(cfg) -> None:
     if cfg["instances"] < 1:
         raise ConfigError(f"--instances must be at least 1, got {cfg['instances']}")
     runs = {"f32": (np.float32, F32_TOLERANCE), "f64": (np.float64, F64_TOLERANCE)}
@@ -395,41 +366,36 @@ def _cmd_check_gradients(cfg) -> int:
         print(f"{label}: instances={len(errors)} max_rel_error={worst:.3e} tol={tol:.0e} {status}")
     if failed:
         raise ConfigError("gradient check failed")
-    return 0
 
 
+# Each subcommand's --help summary and its function.
 _COMMANDS = {
-    "gen-quadruples": _cmd_gen_quadruples,
-    "train": _cmd_train,
-    "rank": _cmd_rank,
-    "eval": _cmd_eval,
-    "baseline": _cmd_baseline,
-    "sweep-prototypes": _cmd_sweep,
-    "check-gradients": _cmd_check_gradients,
+    "gen-quadruples": ("dump labeled training quadruples as TSV", _cmd_gen_quadruples),
+    "train": ("fit the recurrent encoder and write a checkpoint", _cmd_train),
+    "rank": ("score and order every question's candidates", _cmd_rank),
+    "eval": ("per-type MAP/MRR report for a checkpoint", _cmd_eval),
+    "baseline": ("mean-embedding or random ranking report", _cmd_baseline),
+    "sweep-prototypes": ("re-evaluate across prototype pool sizes", _cmd_sweep),
+    "check-gradients": ("finite-difference check of the full loss pipeline", _cmd_check_gradients),
 }
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(_join_negative_values(argv))
         if ns.command is None:
             raise UsageError("a subcommand is required")
         cfg = _resolve_options(ns)
+        logging.basicConfig(level=logging.INFO if cfg.get("verbose") else logging.WARNING,
+                            stream=sys.stderr, format="%(message)s")
+        _COMMANDS[ns.command][1](cfg)
+        return 0
     except UsageError as exc:
         print(f"analogia: error: {exc}", file=sys.stderr)
         print("run 'analogia --help' for usage", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"analogia: error: {exc}", file=sys.stderr)
-        return 2
-
-    logging.basicConfig(level=logging.INFO if cfg.get("verbose") else logging.WARNING,
-                        stream=sys.stderr, format="%(message)s")
-    try:
-        return _COMMANDS[ns.command](cfg)
     except (ValueError, TrainingError, OSError) as exc:
         print(f"analogia: error: {exc}", file=sys.stderr)
         return 2

@@ -434,19 +434,21 @@ _blas_limit = threading.Lock()
 
 def encode_many(sentences, table: EmbeddingTable, params: EncoderParams) -> np.ndarray:
     """(B, output_dim) float64 inference vectors of the sentences, rows in
-    input order, from untaped bigru_forward calls over chunks of at most
-    INFERENCE_CHUNK sentences.  From PARALLEL_MIN_HIDDEN on, two or more
-    chunks run on INFERENCE_THREADS threads with OpenBLAS held to one
-    thread, when its thread count can be set."""
+    input order, from untaped bigru_forward calls over the fewest chunks of
+    at most INFERENCE_CHUNK sentences, of even size (70 sentences run as
+    35 + 35).  From PARALLEL_MIN_HIDDEN on, two or more chunks run on
+    INFERENCE_THREADS threads with OpenBLAS held to one thread, when its
+    thread count can be set."""
+    count = -(-len(sentences) // INFERENCE_CHUNK)  # ceil(B / INFERENCE_CHUNK)
+    if not count:
+        return np.empty((0, params.output_dim))
+    size = -(-len(sentences) // count)
     weights = params.point_arrays64
 
     def run(start):
-        return bigru_forward(pack_batch(sentences[start:start + INFERENCE_CHUNK], table, np.float64),
-                             weights)[1][0]
+        return bigru_forward(pack_batch(sentences[start:start + size], table, np.float64), weights)[1][0]
 
-    starts = range(0, len(sentences), INFERENCE_CHUNK)
-    if not starts:
-        return np.empty((0, params.output_dim))
+    starts = range(0, len(sentences), size)
     blas = len(starts) > 1 and params.hidden >= PARALLEL_MIN_HIDDEN and _openblas_threads()
     if blas and _blas_limit.acquire(blocking=False):
         try:

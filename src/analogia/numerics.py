@@ -546,15 +546,12 @@ def finite_difference_check(f: Callable, x: Tensor, eps: float = 1e-4,
 
     The analytic side runs at x's own dtype; the numeric side always runs in
     float64, since float32 differencing cannot resolve the tolerances this
-    check is used to assert.  It has two paths, with the same arithmetic:
-
-      - without ``batch_f``, f is re-evaluated twice per coordinate, at a
-        float64 copy of x perturbed by +-eps;
-      - with ``batch_f``, one call evaluates all 2N perturbed points of x's
-        N coordinates.  It takes a float64 array of shape (2N,) + x.shape:
-        point k adds eps to coordinate k, counting in C order, point N + k
-        subtracts it, and every other coordinate stays at x.  It returns
-        the 2N values of f, computed in float64.
+    check is used to assert.  It evaluates f at 2N perturbed points of x's
+    N coordinates, a float64 array of shape (2N,) + x.shape: point k adds
+    eps to coordinate k, counting in C order, point N + k subtracts it, and
+    every other coordinate stays at x.  Without ``batch_f``, f is called at
+    each point in turn; ``batch_f`` takes the whole array in one call and
+    returns the 2N values of f, computed in float64.
 
     Error per coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
@@ -571,30 +568,22 @@ def finite_difference_check(f: Callable, x: Tensor, eps: float = 1e-4,
 
     base = x.values.astype(np.float64)
     n = base.size
-
-    def locate(k: int) -> str:
-        return f"coordinate {tuple(int(j) for j in np.unravel_index(k, base.shape))}"
-
+    points = np.repeat(base.reshape(1, -1), 2 * n, axis=0)
+    k = np.arange(n)
+    points[k, k] += eps
+    points[n + k, k] -= eps
+    points = points.reshape((2 * n,) + base.shape)
     if batch_f is None:
-        values = np.empty(2 * n)
-        for k in range(n):
-            for row, step in ((k, eps), (n + k, -eps)):
-                moved = base.copy()
-                moved.flat[k] += step
-                values[row] = f(Tensor(moved, dtype=np.float64)).item()
-            if not (np.isfinite(values[k]) and np.isfinite(values[n + k])):
-                raise ValueError(f"f evaluated to a non-finite value near {locate(k)}")
+        values = np.array([f(Tensor(point, dtype=np.float64)).item() for point in points])
     else:
-        points = np.repeat(base.reshape(1, -1), 2 * n, axis=0)
-        k = np.arange(n)
-        points[k, k] += eps
-        points[n + k, k] -= eps
-        values = np.asarray(batch_f(points.reshape((2 * n,) + base.shape)), dtype=np.float64)
+        values = np.asarray(batch_f(points), dtype=np.float64)
         if values.shape != (2 * n,):
             raise ValueError(f"batch_f must return {2 * n} values, got shape {values.shape}")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(f"batch_f evaluated to a non-finite value near {locate(int(bad[0]) % n)}")
+    bad = np.flatnonzero(~np.isfinite(values.reshape(2, n)).all(axis=0))
+    if bad.size:
+        where = tuple(int(j) for j in np.unravel_index(bad[0], base.shape))
+        raise ValueError(f"{'f' if batch_f is None else 'batch_f'} evaluated to a non-finite value "
+                         f"near coordinate {where}")
 
     numeric = (values[:n] - values[n:]) / (2.0 * eps)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))

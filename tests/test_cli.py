@@ -5,6 +5,7 @@ subprocess tests confirm the installed console script and `python -m`
 are wired up.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -15,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from analogia.analogy_core import HyperParams
 from analogia.cli import LOSS_LOG_FILE, dispatch, read_config_file
 from analogia.synthetic import build_corpus, write_corpus
 from analogia.text_data import ConfigError
+from analogia.training import TrainConfig
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "data"
@@ -334,14 +337,52 @@ class TestTrain:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["lr", "weight-decay", "dropout", "margin", "l2-lambda", "clip-norm"])
     def test_non_finite_setting_rejected(self, capsys, corpus_dir, tmp_path, flag, value):
+        """Both spellings, --flag=value and --flag value, reach the check."""
+        out = tmp_path / "model"
+        for spelling in ([f"--{flag}={value}"], [f"--{flag}", value]):
+            rc, _, err = _run(capsys, ["train", "--data", str(corpus_dir / "train.tsv"),
+                                       "--embeddings", str(corpus_dir / "vectors.vec"),
+                                       "--prototypes", "2", "--epochs", "1", "--dim", "8",
+                                       *spelling, "--out", str(out)])
+            assert rc == 2, spelling
+            assert f"{flag.replace('-', '_')} must be a finite number, got {float(value)}" in err
+            assert not out.exists()
+
+    def test_negative_value_after_a_space(self, capsys, corpus_dir, tmp_path):
         out = tmp_path / "model"
         rc, _, err = _run(capsys, ["train", "--data", str(corpus_dir / "train.tsv"),
                                    "--embeddings", str(corpus_dir / "vectors.vec"),
                                    "--prototypes", "2", "--epochs", "1", "--dim", "8",
-                                   f"--{flag}={value}", "--out", str(out)])
-        assert rc == 2
-        assert f"{flag.replace('-', '_')} must be a finite number, got {float(value)}" in err
-        assert not out.exists()
+                                   "--margin", "-1e-3", "--out", str(out)])
+        assert (rc, err) == (0, "")
+        assert json.loads((out / "config.json").read_text())["margin"] == -0.001
+
+    def test_negative_number_is_no_value_of_a_switch(self, capsys, corpus_dir):
+        rc, _, err = _run(capsys, ["gen-quadruples", "--data", str(corpus_dir / "train.tsv"),
+                                   "--has-header", "-1"])
+        assert rc == 1
+        assert "unrecognized arguments: -1" in err
+
+    def test_config_records_every_setting(self, corpus_dir, tmp_path):
+        """Every TrainConfig and HyperParams field, each off its default,
+        and --has-header reach config.json with the values given."""
+        data = tmp_path / "train.tsv"
+        data.write_text("question_id\tquestion\tcandidate\tlabel\n" + (corpus_dir / "train.tsv").read_text())
+        given = {"epochs": 1, "batch_size": 5, "lr": 0.003, "weight_decay": 0.02, "dropout": 0.25,
+                 "margin": 0.2, "loss_variant": "literal", "l2_lambda": 0.001, "dim": 6,
+                 "negatives_per_positive": 2, "clip_norm": 1.5, "seed": 3}
+        fields = {f.name for f in dataclasses.fields(TrainConfig) if f.name != "hp"}
+        assert set(given) == fields | {f.name for f in dataclasses.fields(HyperParams)}
+        for name, value in given.items():
+            owner = HyperParams if name in HyperParams.__dataclass_fields__ else TrainConfig
+            assert value != getattr(owner, name), name
+        out = tmp_path / "model"
+        argv = [arg for name, value in given.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
+        assert dispatch(["train", "--data", str(data), "--embeddings", str(corpus_dir / "vectors.vec"),
+                         "--prototypes", "2", "--has-header", *argv, "--out", str(out)]) == 0
+        meta = json.loads((out / "config.json").read_text())
+        assert {name: meta.get(name) for name in given} == given
+        assert meta["has_header"] is True
 
 class TestRankEval:
     def test_rank_rows(self, capsys, checkpoint, corpus_dir):

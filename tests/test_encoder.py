@@ -385,6 +385,21 @@ class TestEncodeMany:
         single = np.stack([encode(s, table, params).values for s in sentences])
         np.testing.assert_allclose(single, rows, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("count, sizes", [(70, [35, 35]), (64, [64]), (65, [33, 32]),
+                                              (2 * INFERENCE_CHUNK + 1, [43, 43, 43])])
+    def test_fewest_chunks_of_even_size(self, monkeypatch, count, sizes):
+        table = _table()
+        params = EncoderParams.initialize(table.dim, 3, seed=5)
+        packed = []
+
+        def recording_pack_batch(batch, *args):
+            packed.append(len(batch))
+            return pack_batch(batch, *args)
+
+        monkeypatch.setattr(encoder, "pack_batch", recording_pack_batch)
+        assert encode_many(_sentences(count), table, params).shape == (count, params.output_dim)
+        assert packed == sizes
+
     def test_records_no_tape_node(self):
         table = _table()
         params = EncoderParams.initialize(table.dim, 3, seed=5)
@@ -421,6 +436,7 @@ class TestEncodeManyThreads:
     sequential path, with OpenBLAS's thread count restored."""
 
     COUNT = 2 * INFERENCE_CHUNK + 22
+    ROWS = -(-COUNT // 3)  # rows in each of the three even chunks
 
     @pytest.fixture
     def blas_threads(self):
@@ -488,7 +504,7 @@ class TestEncodeManyThreads:
 
     def test_empty_sentence_in_a_later_chunk(self, blas_threads, monkeypatch):
         sentences, table, params = self._case()
-        sentences[2 * INFERENCE_CHUNK + 3] = ()
+        sentences[2 * self.ROWS + 3] = ()
         threaded, sequential = self._errors(monkeypatch, sentences, table, params, blas_threads)
         assert type(threaded) is type(sequential)
         assert str(threaded) == str(sequential) == "cannot encode an empty sentence (batch row 3)"
