@@ -213,19 +213,29 @@ _OPTIONS = {
                              choices=("f32", "f64", "both")), _SEED],
 }
 
-_VALUE_FLAGS = {f"--{opt.name}" for opts in _OPTIONS.values() for opt in opts + _COMMON if not opt.flag}
-
-
 def _join_negative_values(argv) -> list[str]:
-    """argv with a negative number after a value flag joined to it, as
-    --flag=value: argparse takes -1e-3 or -inf for an option of its own."""
+    """argv with a negative number after a value flag, or after an
+    unambiguous prefix of one, joined to it as --flag=value: argparse takes
+    -1e-3 or -inf for an option of its own."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    takes_value = {"--help": False}
+    takes_value.update((f"--{opt.name}", not opt.flag) for opt in _OPTIONS.get(command, []) + _COMMON)
     out = []
     for arg in argv:
-        if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and _is_number(arg):
+        if out and arg.startswith("-") and _is_number(arg) and _is_value_flag(out[-1], takes_value):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
+
+
+def _is_value_flag(arg: str, takes_value: dict[str, bool]) -> bool:
+    """Whether argparse reads arg as an option that takes a value: its full
+    name, or a prefix of exactly one option's name."""
+    if arg in takes_value:
+        return takes_value[arg]
+    names = [name for name in takes_value if name.startswith(arg)]
+    return len(names) == 1 and takes_value[names[0]]
 
 
 def _is_number(text: str) -> bool:

@@ -17,6 +17,9 @@ WH_TYPES = (WHO, WHEN, WHERE)
 
 _ASCII_PUNCT = string.punctuation
 
+# rows of a vector file parsed by one np.loadtxt call
+_BLOCK_ROWS = 1024
+
 
 class ParseError(ValueError):
     """Malformed input file; message carries the offending line number."""
@@ -144,40 +147,93 @@ def load_embeddings(path) -> EmbeddingTable:
     """Read a word-vector text file.
 
     Format: optional first line ``count dim``; data lines
-    ``token v1 v2 ... vd``.  Duplicate tokens keep the first occurrence.
-    Dimension comes from the header or the first data row; a later row of a
-    different width is a ParseError.
+    ``token v1 v2 ... vd``, values in Python ``float()`` syntax, stored as
+    float32.  Duplicate tokens keep the first occurrence.  Dimension comes
+    from the header or the first data row; a later row of a different width
+    is a ParseError.  The whole file is parsed, in blocks of _BLOCK_ROWS
+    rows, and a file with several bad lines reports the first in file order.
     """
     dim: int | None = None
     entries: dict[str, np.ndarray] = {}
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if lineno == 1 and _is_header(fields):
+    for block in _row_blocks(path):
+        lineno, token, values = block[0]
+        if lineno == 1 and _is_header(fields := [token, *values.split()]):
             dim = int(fields[1])
             if dim <= 0:
                 raise ParseError(f"{path}: line 1: header dimension must be positive")
-            continue
-        if len(fields) < 2:
+            del block[0]
+            if not block:
+                continue
+        matrix, dim = _parse_block(path, block, dim)
+        for (_, token, _), vec in zip(block, matrix):
+            entries.setdefault(token, vec)
+    if dim is None or not entries:
+        raise ParseError(f"{path}: no embedding rows found")
+    return EmbeddingTable(dim=dim, entries=entries)
+
+
+def _row_blocks(path):
+    """Lists of up to _BLOCK_ROWS (line number, token, value text) rows,
+    one per non-blank line of a vector file."""
+    block = []
+    try:
+        for lineno, line in read_lines(path):
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            block.append((lineno, parts[0], parts[1] if len(parts) == 2 else ""))
+            if len(block) == _BLOCK_ROWS:
+                yield block
+                block = []
+    except ParseError:
+        # the rows read so far come first in the file: a bad one among them
+        # is the error to report
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _parse_block(path, block, dim):
+    """The block's values as a read-only float32 (rows, dim) matrix, and
+    dim, taken from the block's first row when not yet known."""
+    values = [text for _, _, text in block]
+    width = dim if dim is not None else len(values[0].split())
+    matrix = None
+    # loadtxt skips a line with no values (and warns when it skips them all),
+    # so such a block goes row by row, which rejects the line.
+    if all(values):
+        try:
+            matrix = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if matrix is None or matrix.shape != (len(block), width):
+        # a bad float, a width change, or syntax only float() accepts (1_0)
+        matrix, width = _parse_rows(path, block, dim)
+    matrix = matrix.astype(np.float32)
+    matrix.setflags(write=False)
+    return matrix, width
+
+
+def _parse_rows(path, block, dim):
+    """Parse a block row by row with float(): float64 (rows, dim) values
+    and dim, or a ParseError naming the block's first bad line."""
+    rows = []
+    for lineno, _, text in block:
+        values = text.split()
+        if not values:
             raise ParseError(f"{path}: line {lineno}: expected a token and at least one value")
-        token, values = fields[0], fields[1:]
         if dim is None:
             dim = len(values)
         elif len(values) != dim:
             raise ParseError(
                 f"{path}: line {lineno}: row width {len(values)} does not match dimension {dim}")
         try:
-            vec = np.array([float(v) for v in values], dtype=np.float32)
+            rows.append([float(v) for v in values])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if token not in entries:
-            entries[token] = vec
-    if dim is None or not entries:
-        raise ParseError(f"{path}: no embedding rows found")
-    for vec in entries.values():
-        vec.setflags(write=False)
-    return EmbeddingTable(dim=dim, entries=entries)
+    return np.array(rows, dtype=np.float64), dim
 
 
 def load_qa_dataset(path, has_header: bool = False) -> QADataset:

@@ -349,19 +349,21 @@ class TestTrain:
             assert not out.exists()
 
     def test_negative_value_after_a_space(self, capsys, corpus_dir, tmp_path):
-        out = tmp_path / "model"
-        rc, _, err = _run(capsys, ["train", "--data", str(corpus_dir / "train.tsv"),
-                                   "--embeddings", str(corpus_dir / "vectors.vec"),
-                                   "--prototypes", "2", "--epochs", "1", "--dim", "8",
-                                   "--margin", "-1e-3", "--out", str(out)])
-        assert (rc, err) == (0, "")
-        assert json.loads((out / "config.json").read_text())["margin"] == -0.001
+        for flag in ("--margin", "--marg"):
+            out = tmp_path / flag.strip("-")
+            rc, _, err = _run(capsys, ["train", "--data", str(corpus_dir / "train.tsv"),
+                                       "--embeddings", str(corpus_dir / "vectors.vec"),
+                                       "--prototypes", "2", "--epochs", "1", "--dim", "8",
+                                       flag, "-1e-3", "--out", str(out)])
+            assert (rc, err) == (0, ""), flag
+            assert json.loads((out / "config.json").read_text())["margin"] == -0.001
 
     def test_negative_number_is_no_value_of_a_switch(self, capsys, corpus_dir):
-        rc, _, err = _run(capsys, ["gen-quadruples", "--data", str(corpus_dir / "train.tsv"),
-                                   "--has-header", "-1"])
-        assert rc == 1
-        assert "unrecognized arguments: -1" in err
+        for flag in ("--has-header", "--has"):
+            rc, _, err = _run(capsys, ["gen-quadruples", "--data", str(corpus_dir / "train.tsv"),
+                                       flag, "-1"])
+            assert rc == 1, flag
+            assert "unrecognized arguments: -1" in err
 
     def test_config_records_every_setting(self, corpus_dir, tmp_path):
         """Every TrainConfig and HyperParams field, each off its default,

@@ -2,11 +2,13 @@
 
 import hashlib
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from analogia.text_data import (
+    _BLOCK_ROWS,
     OTHER,
     WH_TYPES,
     Candidate,
@@ -130,6 +132,123 @@ class TestEmbeddingLoading:
         vec = load_embeddings(p).lookup("a")
         with pytest.raises(ValueError):
             vec[0] = 9.0
+
+
+def _float_oracle(text: str) -> dict[str, np.ndarray]:
+    """Row-by-row float() parse of .vec text, as the loader did before it
+    parsed in blocks: first occurrence wins, a `count dim` line 1 is skipped."""
+    out = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields or (lineno == 1 and len(fields) == 2 and all(f.isdigit() for f in fields)):
+            continue
+        out.setdefault(fields[0], np.array([float(v) for v in fields[1:]], dtype=np.float32))
+    return out
+
+
+def _assert_bits_equal(table, want):
+    assert list(table.entries) == list(want)
+    for token, vec in want.items():
+        got = table.entries[token]
+        assert got.dtype == np.float32 and got.shape == vec.shape
+        np.testing.assert_array_equal(got.view(np.uint32), vec.view(np.uint32), err_msg=token)
+
+
+class TestBlockParsing:
+    """load_embeddings parses _BLOCK_ROWS rows per np.loadtxt call and falls
+    back to float() row by row; either way the result and the errors are
+    those of a row-by-row float() parse."""
+
+    def _write(self, tmp_path, text, name="v.vec"):
+        p = tmp_path / name
+        p.write_bytes(text.encode("utf-8"))
+        return p
+
+    def _rows(self, n, dim=3):
+        return [f"w{i} " + " ".join(f"{i + k / 8}" for k in range(dim)) for i in range(n)]
+
+    def test_many_blocks_match_float_oracle(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n, dim = 2 * _BLOCK_ROWS + 37, 7
+        values = rng.normal(scale=3.0, size=(n, dim))
+        formats = (repr, "{:.9e}".format, "{:.7g}".format, "{:.5f}".format)
+        lines = [f"{n} {dim}"]
+        for i, row in enumerate(values):
+            # every fifth row repeats an earlier token, across block edges too
+            token = f"w{i // 5 * 3}" if i % 5 == 4 else f"w{i}"
+            lines.append(token + " " + " ".join(formats[(i + k) % 4](float(v)) for k, v in enumerate(row)))
+            if i % 300 == 7:
+                lines.append(" \t" if i % 600 == 7 else "")
+        text = "\n".join(lines) + "\n"
+        table = load_embeddings(self._write(tmp_path, text))
+        assert table.dim == dim
+        _assert_bits_equal(table, _float_oracle(text))
+
+    def test_hard_value_strings_match_float_oracle(self, tmp_path):
+        hard = ["0.1", repr(0.1 + 0.2), repr(1 / 3), "1.0000000596046448", "3.4028235e+38",
+                "5e-324", "1e-45", "7e-46", "1.1754943e-38", "-0.0", "1e400", "-1e400", "nan",
+                "-NaN", "inf", "-Infinity", "+inf", "1.", ".5", "-2E-3"]
+        rows = [hard[i:i + 4] for i in range(0, len(hard), 4)]
+        seps = [" ", "\t", "   ", " \t "]
+        text = "".join(f"t{i}{seps[i % 4]}" + seps[(i + 1) % 4].join(row) + "  \r\n"
+                       for i, row in enumerate(rows))
+        _assert_bits_equal(load_embeddings(self._write(tmp_path, text)), _float_oracle(text))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("w x 1 2", "could not convert string to float: 'x'"),
+        ("w 1 2", "row width 2 does not match dimension 3"),
+        ("w", "expected a token and at least one value"),
+    ], ids=["bad-float", "wrong-width", "token-only"])
+    def test_bad_line_in_second_block_named(self, tmp_path, bad, message):
+        rows = self._rows(2 * _BLOCK_ROWS)
+        rows[_BLOCK_ROWS + 1] = bad
+        p = self._write(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=f"line {_BLOCK_ROWS + 2}: {message}"):
+            load_embeddings(p)
+
+    @pytest.mark.parametrize("first, second", [(3, 9), (9, 3)])
+    def test_earlier_of_two_bad_rows_reported(self, tmp_path, first, second):
+        rows = self._rows(20)
+        rows[first - 1] = "w 1 2"
+        rows[second - 1] = "w 1 oops 2"
+        p = self._write(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=f"line {min(first, second)}:"):
+            load_embeddings(p)
+
+    @pytest.mark.parametrize("bad_float_first", [True, False])
+    def test_bad_row_and_undecodable_line_reported_in_file_order(self, tmp_path, bad_float_first):
+        rows = [line.encode("utf-8") for line in self._rows(10)]
+        rows[2 if bad_float_first else 6] = b"w 1 oops 2"
+        rows[6 if bad_float_first else 2] = b"w \xff 1 2"
+        p = tmp_path / "v.vec"
+        p.write_bytes(b"\n".join(rows) + b"\n")
+        want = "line 3: could not convert" if bad_float_first else "line 3: not UTF-8"
+        with pytest.raises(ParseError, match=want):
+            load_embeddings(p)
+
+    def test_float_only_syntax_still_accepted(self, tmp_path):
+        """Underscores and non-ASCII digits, which float() takes and
+        np.loadtxt does not."""
+        table = load_embeddings(self._write(tmp_path, "a 1_0 2\nb \u0661 0.5\n"))
+        np.testing.assert_array_equal(table.lookup("a"), [10.0, 2.0])
+        np.testing.assert_array_equal(table.lookup("b"), [1.0, 0.5])
+
+    def test_no_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_embeddings(self._write(tmp_path, "\n".join(self._rows(_BLOCK_ROWS + 5)) + "\n"))
+            assert len(table.entries) == _BLOCK_ROWS + 5
+            with pytest.raises(ParseError, match="line 1: expected a token"):
+                load_embeddings(self._write(tmp_path, "a\nb\nc\n", name="tokens.vec"))
+
+    def test_header_only_file_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="no embedding rows found"):
+            load_embeddings(self._write(tmp_path, "0 3\n"))
+
+    def test_rows_are_read_only_float32(self, tmp_path):
+        table = load_embeddings(self._write(tmp_path, "\n".join(self._rows(_BLOCK_ROWS + 1)) + "\n"))
+        for vec in table.entries.values():
+            assert vec.dtype == np.float32 and vec.shape == (3,) and not vec.flags.writeable
 
 
 class TestOovLookup:
