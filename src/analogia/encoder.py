@@ -19,8 +19,14 @@ alone:
   - max pooling runs over each row's own steps, so nothing but a real
     hidden state can win the max.
 
-The input projections and biases of all three gates at all real tokens
-are one product; only the recurrent products stay in the time loop.
+A batch repeats its tokens (a 64-sentence paper-scale batch has about
+450 distinct tokens among 1,600), so pack_batch keeps each distinct
+token's word vector once, and the input projections and biases of all
+three gates are one product over the distinct tokens, gathered to the
+packed positions as one contiguous (N, 2h) block for the update and
+reset gates z | r and one (N, h) block for the candidate h~.  Only the
+recurrent products stay in the time loop, whose elementwise steps read
+and write those blocks' contiguous rows.
 ``bigru`` records that kernel at one parameter point as a single tape node,
 rows in input order, whose backward pass is hand-written backpropagation
 through time over the same prefixes.  ``encode_batch``, the training path,
@@ -179,15 +185,18 @@ class PackedBatch(NamedTuple):
 
     Rows are sorted by length, longest first; the sort is stable, so tied
     rows keep their input order.  Step t has sizes[t] active rows, always
-    the first sizes[t] sorted rows, and their word vectors are
-    X[offsets[t]:offsets[t + 1]] in sorted-row order.  X holds exactly the
-    N real tokens of the batch: there are no pad slots.
+    the first sizes[t] sorted rows, and their tokens sit at packed
+    positions offsets[t]:offsets[t + 1] in sorted-row order.  The N packed
+    positions are exactly the batch's real tokens: there are no pad slots.
+    V holds each distinct token's word vector once, and the token at
+    packed position k is V[ids[k]].
     """
 
-    X: np.ndarray              # (N, n) word vectors
+    V: np.ndarray              # (U, n) word vectors of the distinct tokens
+    ids: np.ndarray            # (N,) row of V at each packed position
     sizes: tuple[int, ...]     # (T,) rows active at each step, non-increasing
     order: np.ndarray          # (B,) input row of each sorted row
-    offsets: tuple[int, ...]   # (T + 1,) bounds of each step's block of X
+    offsets: tuple[int, ...]   # (T + 1,) bounds of each step's packed positions
 
     def steps(self, row: int) -> np.ndarray:
         """Packed positions of input row ``row``'s tokens, in step order."""
@@ -196,8 +205,8 @@ class PackedBatch(NamedTuple):
 
 
 def pack_batch(sentences, table: EmbeddingTable, dtype) -> PackedBatch:
-    """The word vectors of a batch's real tokens, packed time-major, with
-    one table lookup per distinct token."""
+    """A batch's real tokens packed time-major, with one table lookup and
+    one row of V per distinct token."""
     if len(sentences) == 0:
         raise ValueError("cannot encode an empty batch")
     lengths = [len(s) for s in sentences]
@@ -213,47 +222,55 @@ def pack_batch(sentences, table: EmbeddingTable, dtype) -> PackedBatch:
     index: dict[str, int] = {}
     ids = [index.setdefault(row[t], len(index)) for t, active in enumerate(sizes) for row in rows[:active]]
     vectors = np.array([table.lookup(tok) for tok in index], dtype=dtype)
-    return PackedBatch(X=vectors.take(ids, axis=0), sizes=tuple(sizes), order=np.array(order),
-                       offsets=(0, *itertools.accumulate(sizes)))
+    return PackedBatch(V=vectors, ids=np.array(ids, dtype=np.intp), sizes=tuple(sizes),
+                       order=np.array(order), offsets=(0, *itertools.accumulate(sizes)))
 
 
-def _gru_scan(packed: PackedBatch, w, order) -> tuple[np.ndarray, np.ndarray]:
+def _gru_scan(packed: PackedBatch, w, order) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One direction of bigru_forward, over the steps in ``order``: the
-    (P, N, h) packed states and the (P, N, 3h) gate activations z | r | h~
-    that its backward pass reads."""
+    (P, N, h) packed states, and the gate activations that its backward
+    pass reads, as the (P, N, 2h) block z | r and the (P, N, h) block h~."""
     W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = w
     h = b_z.shape[-1]
-    # input projections and biases of every gate at every real token in one
-    # product; the loop overwrites each step's block with its activations
-    gates = packed.X @ np.concatenate([W_z, W_r, W_h], axis=-2).swapaxes(-1, -2)
-    gates += np.concatenate([b_z, b_r, b_h], axis=-1)[:, None]
     # The loop takes sigmoid(x) = (1 + tanh(x / 2)) / 2, several times faster
-    # than scipy's expit, so the z and r pre-activations are halved here and
-    # through u_zr; halving is exact in floating point.
-    gates[..., :2 * h] *= 0.5
+    # than scipy's expit, so the weights and biases of the z and r
+    # pre-activations are halved before the products; halving is exact in
+    # floating point.
+    w_in = np.concatenate([W_z, W_r, W_h], axis=-2)
+    w_in[..., :2 * h, :] *= 0.5
+    b_in = np.concatenate([b_z, b_r, b_h], axis=-1)
+    b_in[..., :2 * h] *= 0.5
     # C-contiguous: the step products run faster than on transposed views
     u_zr = np.multiply(np.concatenate([U_z, U_r], axis=-2).swapaxes(-1, -2), 0.5, order="C")
     u_h = U_h.swapaxes(-1, -2).copy()
+    # input projections and biases of all three gates once per distinct
+    # token, then gathered to the packed positions as two contiguous
+    # blocks; the loop overwrites each step's rows with its activations
+    proj = packed.V @ w_in.swapaxes(-1, -2)
+    proj += b_in[:, None]
+    zr = proj[..., :2 * h].take(packed.ids, axis=1)
+    h_cand = proj[..., 2 * h:].take(packed.ids, axis=1)
     off = packed.offsets
     # a row's state stays zero until the row's first step
-    state = np.zeros((len(gates), packed.sizes[0], h), dtype=gates.dtype)
-    states = np.empty(gates.shape[:-1] + (h,), dtype=gates.dtype)
+    state = np.zeros((len(zr), packed.sizes[0], h), dtype=zr.dtype)
+    states = np.empty(h_cand.shape, dtype=zr.dtype)
     for t in order:
         lo, hi = off[t], off[t + 1]
         s = state[:, :hi - lo]
-        zr = gates[:, lo:hi, :2 * h]
-        zr += s @ u_zr
-        np.tanh(zr, out=zr)
-        zr += 1.0
-        zr *= 0.5
-        z, r = zr[..., :h], zr[..., h:]
-        h_cand = np.tanh(gates[:, lo:hi, 2 * h:] + (r * s) @ u_h, out=gates[:, lo:hi, 2 * h:])
+        zr_t, h_t, new = zr[:, lo:hi], h_cand[:, lo:hi], states[:, lo:hi]
+        zr_t += s @ u_zr
+        np.tanh(zr_t, out=zr_t)
+        zr_t += 1.0
+        zr_t *= 0.5
+        z, r = zr_t[..., :h], zr_t[..., h:]
+        h_t += (r * s) @ u_h
+        np.tanh(h_t, out=h_t)
         # the blend (1 - z) s + z h~ as s + z (h~ - s), one array operation fewer
-        step = h_cand - s
-        step *= z
-        np.add(s, step, out=states[:, lo:hi])
-        s[...] = states[:, lo:hi]
-    return states, gates
+        np.subtract(h_t, s, out=new)
+        new *= z
+        new += s
+        s[...] = new
+    return states, (zr, h_cand)
 
 
 def _max_pool(packed: PackedBatch, states: np.ndarray) -> np.ndarray:
@@ -294,7 +311,8 @@ def bigru_forward(packed: PackedBatch, weights):
         backward half;
       - the (P, B, 2h) max-pooled sentence vectors, rows in input order;
       - the gate activations of the forward and of the backward direction,
-        each (P, N, 3h) holding z | r | h~.
+        each a pair of blocks: (P, N, 2h) holding z | r and (P, N, h)
+        holding h~.
     """
     T = len(packed.sizes)
     fwd, fwd_gates = _gru_scan(packed, weights[:9], range(T))
@@ -310,9 +328,10 @@ def _gru_scan_grads(packed: PackedBatch, w, order,
     """Backpropagation through time of one _gru_scan direction at one
     parameter point.
 
-    ``w`` is the direction's nine arrays without a point axis; states,
-    gates and d_states are its (N, h) packed states, (N, 3h) gates and the
-    (N, h) loss gradient that reaches each state from the pooling.
+    ``w`` is the direction's nine arrays without a point axis; states and
+    d_states are its (N, h) packed states and the (N, h) loss gradient
+    that reaches each state from the pooling, and gates its (N, 2h) z | r
+    and (N, h) h~ blocks.
     Returns the nine parameter gradients in GATE_NAMES order.
     """
     _, U_z, _, _, U_r, _, _, U_h, _ = w
@@ -323,7 +342,8 @@ def _gru_scan_grads(packed: PackedBatch, w, order,
     for a, b in zip(order, order[1:]):
         n = sizes[max(a, b)]  # rows active at both steps
         prev[off[b]:off[b] + n] = states[off[a]:off[a] + n]
-    z, r, h_cand = gates[:, :h], gates[:, h:2 * h], gates[:, 2 * h:]
+    zr, h_cand = gates
+    z, r = zr[:, :h], zr[:, h:]
     u_zr = np.concatenate([U_z, U_r])
     d_pre = np.empty((N, 3 * h), dtype=d_states.dtype)  # gate pre-activation gradients
     # a row's carry is zero at its last step, the first one visited here
@@ -338,7 +358,7 @@ def _gru_scan_grads(packed: PackedBatch, w, order,
         d_pre[lo:hi, h:2 * h] = d_rp * pt * rt * (1.0 - rt)
         d_pre[lo:hi, 2 * h:] = d_h
         carry[:hi - lo] = g * (1.0 - zt) + d_rp * rt + d_pre[lo:hi, :2 * h] @ u_zr
-    d_W = (d_pre.T @ packed.X).reshape(3, h, -1)
+    d_W = (d_pre.T @ packed.V.take(packed.ids, axis=0)).reshape(3, h, -1)
     d_b = d_pre.sum(axis=0).reshape(3, h)
     # U_z and U_r multiply the previous state, U_h multiplies r * previous
     d_U = np.concatenate([d_pre[:, :2 * h].T @ prev,
@@ -352,14 +372,15 @@ def bigru(packed: PackedBatch, params: EncoderParams) -> Tensor:
     the word vectors get no gradient."""
     states, pooled, gates = bigru_forward(packed, params.point_arrays)
     states, pooled = states[0], pooled[0]
+    fwd_gates, bwd_gates = ([block[0] for block in direction] for direction in gates)
     T, h, weights = len(packed.sizes), params.hidden, params.arrays
 
     def back(g):
         d_states = _max_pool_grads(packed, states, pooled[packed.order], g)
         grads = (_gru_scan_grads(packed, weights[:9], range(T),
-                                 states[:, :h], gates[0][0], d_states[:, :h])
+                                 states[:, :h], fwd_gates, d_states[:, :h])
                  + _gru_scan_grads(packed, weights[9:], range(T - 1, -1, -1),
-                                   states[:, h:], gates[1][0], d_states[:, h:]))
+                                   states[:, h:], bwd_gates, d_states[:, h:]))
         return (np.concatenate([d.ravel() for d in grads]),)
 
     return nx._emit(pooled, (params.flat,), back)

@@ -148,9 +148,10 @@ def load_embeddings(path) -> EmbeddingTable:
 
     Format: optional first line ``count dim``; data lines
     ``token v1 v2 ... vd``, values in Python ``float()`` syntax, stored as
-    float32.  Duplicate tokens keep the first occurrence.  Dimension comes
-    from the header or the first data row; a later row of a different width
-    is a ParseError.  The whole file is parsed, in blocks of _BLOCK_ROWS
+    float32; a value that is NaN, infinite or beyond float32's range (1e39)
+    is a ParseError.  Duplicate tokens keep the first occurrence.
+    Dimension comes from the header or the first data row; a later row of
+    a different width is a ParseError.  The whole file is parsed, in blocks of _BLOCK_ROWS
     rows, and a file with several bad lines reports the first in file order.
     """
     dim: int | None = None
@@ -211,13 +212,17 @@ def _parse_block(path, block, dim):
     if matrix is None or matrix.shape != (len(block), width):
         # a bad float, a width change, or syntax only float() accepts (1_0)
         matrix, width = _parse_rows(path, block, dim)
-    matrix = matrix.astype(np.float32)
+    else:
+        matrix = _float32(matrix)
+        if not np.isfinite(matrix).all():
+            row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+            raise _not_finite(path, block[row][0], block[row][2], matrix[row])
     matrix.setflags(write=False)
     return matrix, width
 
 
 def _parse_rows(path, block, dim):
-    """Parse a block row by row with float(): float64 (rows, dim) values
+    """Parse a block row by row with float(): float32 (rows, dim) values
     and dim, or a ParseError naming the block's first bad line."""
     rows = []
     for lineno, _, text in block:
@@ -230,10 +235,27 @@ def _parse_rows(path, block, dim):
             raise ParseError(
                 f"{path}: line {lineno}: row width {len(values)} does not match dimension {dim}")
         try:
-            rows.append([float(v) for v in values])
+            row = _float32(np.array([float(v) for v in values]))
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return np.array(rows, dtype=np.float64), dim
+        if not np.isfinite(row).all():
+            raise _not_finite(path, lineno, text, row)
+        rows.append(row)
+    return np.array(rows), dim
+
+
+def _float32(values: np.ndarray) -> np.ndarray:
+    """float64 values cast to float32, those beyond its range becoming
+    infinite without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return values.astype(np.float32)
+
+
+def _not_finite(path, lineno, text, row) -> ParseError:
+    """The ParseError for a row whose float32 values are not all finite,
+    naming its first such value as written."""
+    col = int(np.flatnonzero(~np.isfinite(row))[0])
+    return ParseError(f"{path}: line {lineno}: value {text.split()[col]!r} is not a finite float32")
 
 
 def load_qa_dataset(path, has_header: bool = False) -> QADataset:

@@ -116,6 +116,26 @@ class TestDataErrors:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_vector_names_file_and_line(self, capsys, tmp_path, command):
+        """A value that overflows float32 in the quick start's first vector
+        row stops train and eval at load time."""
+        lines = (REPO / "data" / "toy_vectors.vec").read_text().splitlines(keepends=True)
+        token, first, rest = lines[1].split(" ", 2)
+        lines[1] = f"{token} 1e39 {rest}"
+        vec = tmp_path / "vectors.vec"
+        vec.write_text("".join(lines))
+        data = ["--data", str(REPO / "data" / "toy_qa.tsv"), "--embeddings", str(vec)]
+        if command == "train":
+            argv = ["train", *data, "--prototypes", "2", "--epochs", "1", "--dim", "8",
+                    "--out", str(tmp_path / "model")]
+        else:
+            argv = ["eval", "--checkpoint", str(FIXTURES / "quickstart_checkpoint"), *data]
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert f"{vec}: line 2: value '1e39' is not a finite float32" in err
+        assert not (tmp_path / "model").exists()
+
     def test_embedding_dim_mismatch(self, capsys, checkpoint, corpus_dir, tmp_path):
         vec = tmp_path / "tiny.vec"
         vec.write_text("1 2\nword 0.5 0.5\n")

@@ -585,6 +585,134 @@ class TestBigruForward:
             np.testing.assert_allclose(together[k], alone[0], rtol=1e-15, atol=1e-15)
 
 
+def _all_token_scan(packed, w, order):
+    """The scan as it was before the kernel projected each distinct token
+    once: one X @ [W_z; W_r; W_h] product over all N packed tokens, the
+    0.5 of sigmoid-via-tanh applied to the z | r columns afterwards, and
+    the time loop on column slices of one (P, N, 3h) array.  Returns the
+    gates split into the kernel's z | r and h~ blocks."""
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = w
+    h = b_z.shape[-1]
+    X = packed.V[packed.ids]
+    gates = X @ np.concatenate([W_z, W_r, W_h], axis=-2).swapaxes(-1, -2)
+    gates += np.concatenate([b_z, b_r, b_h], axis=-1)[:, None]
+    gates[..., :2 * h] *= 0.5
+    u_zr = np.multiply(np.concatenate([U_z, U_r], axis=-2).swapaxes(-1, -2), 0.5, order="C")
+    u_h = U_h.swapaxes(-1, -2).copy()
+    off = packed.offsets
+    state = np.zeros((len(gates), packed.sizes[0], h), dtype=gates.dtype)
+    states = np.empty(gates.shape[:-1] + (h,), dtype=gates.dtype)
+    for t in order:
+        lo, hi = off[t], off[t + 1]
+        s = state[:, :hi - lo]
+        zr = gates[:, lo:hi, :2 * h]
+        zr += s @ u_zr
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
+        z, r = zr[..., :h], zr[..., h:]
+        h_cand = np.tanh(gates[:, lo:hi, 2 * h:] + (r * s) @ u_h, out=gates[:, lo:hi, 2 * h:])
+        step = h_cand - s
+        step *= z
+        np.add(s, step, out=states[:, lo:hi])
+        s[...] = states[:, lo:hi]
+    return states, (gates[..., :2 * h], gates[..., 2 * h:])
+
+
+def _min_distinct_tokens(hidden):
+    """Distinct tokens a batch needs for the input projection to equal
+    _all_token_scan's bit for bit.  OpenBLAS (0.3.31, SkylakeX kernels)
+    computes a product of at most 1,200 output entries with a small-matrix
+    kernel whose float32 rounding differs from its blocked one, and the
+    projection has one row per distinct token and 3 * hidden columns: at
+    hidden 64, 7 or more tokens; at hidden 150, 3 or more."""
+    return 1200 // (3 * hidden) + 1
+
+
+class TestDistinctTokenProjection:
+    """bigru_forward against _all_token_scan, the formulation it replaced:
+    bit for bit in float32, within 1e-15 in float64."""
+
+    INPUT, HIDDEN = 48, 64
+
+    def _batch(self, dtype):
+        words = [f"w{i}" for i in range(30)]
+        table = _table(dim=self.INPUT, seed=6, words=words)
+        sentences = _sentences(12, seed=9, words=(*words, "oov1", "oov2"))
+        packed = pack_batch(sentences, table, dtype)
+        assert len(packed.V) >= _min_distinct_tokens(self.HIDDEN)
+        return packed
+
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_all_token_projection(self, dtype, points, monkeypatch):
+        packed = self._batch(dtype)
+        # every entry drawn, biases too, which initialize sets to zero
+        size = encoder.layout(self.HIDDEN, self.INPUT).size
+        draws = np.random.default_rng(11).normal(scale=0.2, size=(points, size))
+        weights = _points(*[EncoderParams(nx.tensor(d, dtype=dtype), self.HIDDEN, self.INPUT) for d in draws])
+        got = bigru_forward(packed, weights)
+        monkeypatch.setattr(encoder, "_gru_scan", _all_token_scan)
+        want = bigru_forward(packed, weights)
+        pairs = [(got[0], want[0]), (got[1], want[1])] + [
+            (g, w) for direction in range(2) for g, w in zip(got[2][direction], want[2][direction])]
+        for g, w in pairs:
+            assert g.shape == w.shape and g.dtype == w.dtype == dtype
+            if dtype == np.float32:
+                np.testing.assert_array_equal(g.view(np.uint32), w.view(np.uint32))
+            else:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+
+    def test_gate_blocks_are_contiguous(self):
+        packed = self._batch(np.float64)
+        params = EncoderParams.initialize(self.INPUT, self.HIDDEN, seed=11, dtype=np.float64)
+        _, _, gates = bigru_forward(packed, params.point_arrays)
+        N, h = len(packed.ids), self.HIDDEN
+        for zr, h_cand in gates:
+            assert zr.shape == (1, N, 2 * h) and h_cand.shape == (1, N, h)
+            assert zr.flags.c_contiguous and h_cand.flags.c_contiguous
+
+    def test_default_width_training_gradients_match(self, monkeypatch):
+        """At TrainConfig's default width, with more distinct tokens per
+        batch than the small-matrix kernel takes, every float32 step
+        gradient of a training run equals the all-token projection's."""
+        from analogia import synthetic
+        from analogia.quadgen import select_prototypes
+
+        corpus = synthetic.build_corpus(train_per_type=4, eval_per_type=1, embedding_dim=self.INPUT, seed=0)
+        prototypes = select_prototypes(corpus.train, p=2, seed=0)
+        cfg = training.TrainConfig(epochs=1, batch_size=4, seed=3)
+        hidden = cfg.dim // 2
+        distinct, pack, step = [], encoder.pack_batch, training.adam_step
+
+        def counted_pack(*args):
+            packed = pack(*args)
+            distinct.append(len(packed.V))
+            return packed
+
+        def run():
+            grads = []
+
+            def recorded_step(theta, grad, state, cfg):
+                grads.append(np.array(grad))
+                return step(theta, grad, state, cfg)
+
+            monkeypatch.setattr(training, "adam_step", recorded_step)
+            result = training.train(cfg, corpus.train, prototypes, corpus.table)
+            assert result.params.hidden == hidden and result.params.dtype == np.float32
+            return grads
+
+        monkeypatch.setattr(encoder, "pack_batch", counted_pack)
+        got = run()
+        assert len(got) >= 3 and min(distinct) >= _min_distinct_tokens(hidden)
+        monkeypatch.setattr(encoder, "_gru_scan", _all_token_scan)
+        want = run()
+        assert len(want) == len(got)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32
+            np.testing.assert_array_equal(g.view(np.uint32), w.view(np.uint32))
+
+
 def _cell_graph_rows(sentences, table, forward, backward):
     """Each sentence's pooled vector built op by op on the tape from
     gru_cell, concat, stack_rows and maxpool_time: the graph the fused node
@@ -691,7 +819,7 @@ class TestPackedBatch:
         table = _table()
         packed = pack_batch(sentences, table, np.float64)
         lengths = [len(s) for s in sentences]
-        assert sum(packed.sizes) == sum(lengths) == len(packed.X) == packed.offsets[-1]
+        assert sum(packed.sizes) == sum(lengths) == len(packed.ids) == packed.offsets[-1]
         assert np.all(np.diff(packed.sizes) <= 0)
         assert len(packed.sizes) == max(lengths) and packed.sizes[0] == len(sentences)
         # longest first, ties in input order
@@ -699,7 +827,26 @@ class TestPackedBatch:
         for i, sent in enumerate(sentences):
             steps = packed.steps(i)
             assert len(steps) == len(sent)
-            np.testing.assert_array_equal(packed.X[steps], [table.lookup(tok) for tok in sent])
+            np.testing.assert_array_equal(packed.V[packed.ids[steps]], [table.lookup(tok) for tok in sent])
+        # V at ids is the lookups in packed order: step by step, sorted rows
+        want = [table.lookup(sentences[i][t]) for t, active in enumerate(packed.sizes)
+                for i in packed.order[:active]]
+        np.testing.assert_array_equal(packed.V[packed.ids], want)
+
+    def test_each_distinct_token_once_in_V(self):
+        """Tokens repeated within a row, across rows and across steps, and
+        OOV tokens, each get one row of V, in first packed order."""
+        table = _table()
+        sentences = [("alpha", "zzz", "alpha", "beta"), ("beta", "beta"), ("zzz", "gamma", "yyy"), ("alpha",)]
+        packed = pack_batch(sentences, table, np.float32)
+        sorted_rows = [sentences[i] for i in packed.order]
+        packed_tokens = [row[t] for t, active in enumerate(packed.sizes) for row in sorted_rows[:active]]
+        distinct = list(dict.fromkeys(packed_tokens))
+        assert packed.V.shape == (len(distinct), table.dim) == (5, 3)
+        assert packed.V.dtype == np.float32 and packed.ids.shape == (len(packed_tokens),)
+        for k, tok in enumerate(distinct):
+            np.testing.assert_array_equal(packed.V[k], table.lookup(tok))
+        assert [distinct[i] for i in packed.ids] == packed_tokens
 
     def test_one_lookup_per_distinct_token(self, monkeypatch):
         table = _table()

@@ -1,6 +1,7 @@
 """Tokenizer, embedding table, and QA dataset loader behavior."""
 
 import hashlib
+import re
 import threading
 import warnings
 
@@ -186,13 +187,41 @@ class TestBlockParsing:
 
     def test_hard_value_strings_match_float_oracle(self, tmp_path):
         hard = ["0.1", repr(0.1 + 0.2), repr(1 / 3), "1.0000000596046448", "3.4028235e+38",
-                "5e-324", "1e-45", "7e-46", "1.1754943e-38", "-0.0", "1e400", "-1e400", "nan",
-                "-NaN", "inf", "-Infinity", "+inf", "1.", ".5", "-2E-3"]
+                "5e-324", "1e-45", "7e-46", "1.1754943e-38", "-0.0", "-3.4028235e+38",
+                "3.40282356e+38", "1e-50", "1.", ".5", "-2E-3"]
         rows = [hard[i:i + 4] for i in range(0, len(hard), 4)]
         seps = [" ", "\t", "   ", " \t "]
         text = "".join(f"t{i}{seps[i % 4]}" + seps[(i + 1) % 4].join(row) + "  \r\n"
                        for i, row in enumerate(rows))
         _assert_bits_equal(load_embeddings(self._write(tmp_path, text)), _float_oracle(text))
+
+    NON_FINITE = ["nan", "-NaN", "inf", "-Infinity", "+inf", "1e400", "-1e400", "1e39", "-3.5e38",
+                  "3.4028236e+38"]
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("path", ["loadtxt", "float"])
+    def test_non_finite_value_named(self, tmp_path, value, path):
+        """On both parse paths (a 1_0 later in the block sends it row by
+        row), without numpy's overflow warning."""
+        rows = self._rows(2 * _BLOCK_ROWS)
+        rows[_BLOCK_ROWS + 1] = f"w 1 {value} 2"
+        if path == "float":
+            rows[_BLOCK_ROWS + 5] = "w 1_0 1 2"
+        p = self._write(tmp_path, "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=f"line {_BLOCK_ROWS + 2}: value '{re.escape(value)}' is not a finite float32"):
+                load_embeddings(p)
+
+    @pytest.mark.parametrize("first, second", [(3, 9), (9, 3)])
+    def test_non_finite_and_bad_float_reported_in_file_order(self, tmp_path, first, second):
+        rows = self._rows(20)
+        rows[first - 1] = "w 1 1e39 2"
+        rows[second - 1] = "w 1 oops 2"
+        p = self._write(tmp_path, "\n".join(rows) + "\n")
+        want = "not a finite float32" if first < second else "could not convert"
+        with pytest.raises(ParseError, match=f"line {min(first, second)}: .*{want}"):
+            load_embeddings(p)
 
     @pytest.mark.parametrize("bad, message", [
         ("w x 1 2", "could not convert string to float: 'x'"),
