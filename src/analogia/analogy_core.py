@@ -12,8 +12,9 @@ records it as one tape node over the encoded sentences, taking each role's
 rows and dropout mask itself, with ``_batch_loss_grads`` scattered back
 onto those rows as its backward pass; the gradient audit in
 ``diagnostics`` calls the same kernel for its numeric side.  The scalar
-``energy`` and ``contrastive_loss`` stay as reference oracles, and
-``rank_candidates`` keeps its own evaluation formula.  The loss and the
+``energy`` and ``contrastive_loss`` stay as reference oracles.  Ranking
+has one kernel too, ``rank_group``, over any number of questions of one
+wh-type; ``rank_candidates`` is its one-question call.  The loss and the
 ranking read one degeneracy threshold, COSINE_EPSILON.
 """
 
@@ -144,18 +145,64 @@ class RankedList:
         return tuple(e.candidate_index for e in self.entries)
 
 
-def rank_candidates(question_vec, candidate_vecs, prototype_vecs,
-                    mode: str = ENERGY_MODE) -> RankedList:
-    """Score each candidate against every prototype and sort.
+def check_mode(mode: str) -> None:
+    """Raise ValueError unless mode is one of RANK_MODES."""
+    if mode not in RANK_MODES:
+        raise ValueError(f"mode must be one of {RANK_MODES}, got {mode!r}")
+
+
+class GroupRanking(NamedTuple):
+    """rank_group's results for G questions of n candidates each."""
+
+    scores: np.ndarray  # (G, n) each candidate's best score
+    best: np.ndarray  # (G, n) the prototype that gave it
+    order: np.ndarray  # (G, n) candidate indices in rank order
+    degenerate: np.ndarray  # (G,) (candidate, prototype) pairs scored the neutral 0
+    mode: str
+
+    def lists(self) -> list[RankedList]:
+        """Each question's RankedList, in group order."""
+        rows = zip(self.scores.tolist(), self.best.tolist(), self.order.tolist(), self.degenerate.tolist())
+        return [RankedList(tuple(RankedCandidate(i, scores[i], r, best[i]) for r, i in enumerate(order, start=1)),
+                           self.mode, degenerate) for scores, best, order, degenerate in rows]
+
+
+def rank_group(q, C, P, mode: str = ENERGY_MODE) -> GroupRanking:
+    """Rank G questions' candidates at once: questions q (G, d), candidates
+    C (G, n, d) and prototype shifts P (p, d), all float64.
 
     Energy mode keeps each candidate's best (maximum) cosine over
     prototypes, 0 where a shift is shorter than COSINE_EPSILON, and sorts
     descending; dissimilarity mode keeps the minimum analogical
     dissimilarity and sorts ascending.  Score ties preserve the original
     candidate order, and prototype ties go to the lowest index.
+
+    Every step works per row or per question: the stacked matmul makes one
+    BLAS call per (n, d) slice, and norms reduce along the last axis, so a
+    question's bits are the same whatever G is.  One product over all G*n
+    rows can round differently.
     """
-    if mode not in RANK_MODES:
-        raise ValueError(f"mode must be one of {RANK_MODES}, got {mode!r}")
+    check_mode(mode)
+    shifts = q[:, None, :] - C  # [g, i] is f(q_g) - f(d_gi)
+    if mode == ENERGY_MODE:
+        dots = shifts @ P.T
+        ns = np.linalg.norm(shifts, axis=-1)
+        np_ = np.linalg.norm(P, axis=-1)
+        degen = (ns[..., None] < COSINE_EPSILON) | (np_ < COSINE_EPSILON)
+        E = np.clip(dots / np.where(degen, 1.0, ns[..., None] * np_), -1.0, 1.0)
+        E[degen] = 0.0
+        scores, best, degenerate = E.max(axis=-1), E.argmax(axis=-1), degen.sum(axis=(1, 2))
+    else:
+        V = np.linalg.norm(P - shifts[..., None, :], axis=-1)
+        scores, best, degenerate = V.min(axis=-1), V.argmin(axis=-1), np.zeros(len(q), dtype=np.int64)
+    order = np.argsort(-scores if mode == ENERGY_MODE else scores, axis=-1, kind="stable")
+    return GroupRanking(scores, best, order, degenerate, mode)
+
+
+def rank_candidates(question_vec, candidate_vecs, prototype_vecs,
+                    mode: str = ENERGY_MODE) -> RankedList:
+    """One question's rank_group, with every vector checked: each
+    prototype is a (question, answer) vector pair."""
     if len(candidate_vecs) == 0:
         raise ValueError("rank_candidates needs at least one candidate")
     if len(prototype_vecs) == 0:
@@ -170,33 +217,7 @@ def rank_candidates(question_vec, candidate_vecs, prototype_vecs,
     if C.shape[1] != q.shape[0] or P.shape[1] != q.shape[0]:
         raise ShapeError(
             f"vector lengths disagree: question {q.shape[0]}, candidates {C.shape[1]}, prototypes {P.shape[1]}")
-
-    shifts = q[None, :] - C  # row i is f(q) - f(d_i)
-    degenerate_count = 0
-    if mode == ENERGY_MODE:
-        dots = shifts @ P.T
-        ns = np.linalg.norm(shifts, axis=1)
-        np_ = np.linalg.norm(P, axis=1)
-        degen = (ns[:, None] < COSINE_EPSILON) | (np_[None, :] < COSINE_EPSILON)
-        denom = np.where(degen, 1.0, ns[:, None] * np_[None, :])
-        E = np.clip(dots / denom, -1.0, 1.0)
-        E[degen] = 0.0
-        degenerate_count = int(degen.sum())
-        scores = E.max(axis=1)
-        best = E.argmax(axis=1)  # earliest prototype wins ties
-        order = sorted(range(C.shape[0]), key=lambda i: -scores[i])
-    else:
-        V = np.linalg.norm(P[None, :, :] - shifts[:, None, :], axis=2)
-        scores = V.min(axis=1)
-        best = V.argmin(axis=1)
-        order = sorted(range(C.shape[0]), key=lambda i: scores[i])
-
-    entries = tuple(
-        RankedCandidate(candidate_index=i, score=float(scores[i]),
-                        rank=r + 1, best_prototype_index=int(best[i]))
-        for r, i in enumerate(order)
-    )
-    return RankedList(entries=entries, mode=mode, degenerate_count=degenerate_count)
+    return rank_group(q[None], C[None], P, mode).lists()[0]
 
 
 @dataclass(frozen=True)

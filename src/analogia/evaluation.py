@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analogy_core import ENERGY_MODE, RankedCandidate, RankedList, rank_candidates
+from .analogy_core import ENERGY_MODE, RankedCandidate, RankedList, ShapeError, check_mode, rank_group
+from .analogy_core import rank_candidates  # noqa: F401  perfbench/spans.py wraps evaluation.rank_candidates
 from .quadgen import Prototype, select_prototypes
 from .text_data import OTHER, WH_TYPES, EmbeddingTable, QADataset
 
@@ -23,7 +24,8 @@ REPORT_HEADER = "subset\tquestions\tskipped\tMAP\tMRR"
 SWEEP_HEADER = "p\tMAP\tMRR"
 
 
-def _validate_label_lists(label_lists):
+def _validated(label_lists) -> list[tuple]:
+    label_lists = [tuple(l) for l in label_lists]
     if not label_lists:
         raise ValueError("need at least one ranked question")
     for i, labels in enumerate(label_lists):
@@ -33,6 +35,14 @@ def _validate_label_lists(label_lists):
             raise ValueError(f"ranked list {i} has non-binary labels")
         if not any(labels):
             raise ValueError(f"ranked list {i} has no positive candidate; exclude it upstream")
+    return label_lists
+
+
+def _mean_rr(label_lists) -> float:
+    total = 0.0
+    for labels in label_lists:
+        total += 1.0 / (labels.index(1) + 1)
+    return total / len(label_lists)
 
 
 def mrr(label_lists) -> float:
@@ -40,18 +50,15 @@ def mrr(label_lists) -> float:
 
     Each element is that question's gold labels in rank order.
     """
-    label_lists = [tuple(l) for l in label_lists]
-    _validate_label_lists(label_lists)
-    total = 0.0
-    for labels in label_lists:
-        total += 1.0 / (labels.index(1) + 1)
-    return total / len(label_lists)
+    return _mean_rr(_validated(label_lists))
 
 
 def average_precision(labels) -> float:
     """Precision averaged over the ranks of the positives."""
-    labels = tuple(labels)
-    _validate_label_lists([labels])
+    return _average_precision(_validated([labels])[0])
+
+
+def _average_precision(labels) -> float:
     hits = 0
     total = 0.0
     for rank, y in enumerate(labels, start=1):
@@ -62,9 +69,8 @@ def average_precision(labels) -> float:
 
 
 def mean_average_precision(label_lists) -> float:
-    label_lists = [tuple(l) for l in label_lists]
-    _validate_label_lists(label_lists)
-    return sum(average_precision(l) for l in label_lists) / len(label_lists)
+    label_lists = _validated(label_lists)
+    return sum(_average_precision(l) for l in label_lists) / len(label_lists)
 
 
 @dataclass(frozen=True)
@@ -116,9 +122,9 @@ class EvaluationResult:
 def _build_report(evaluated: list[ScoredQuestion], skipped: dict[str, int]) -> MetricsReport:
     rows = []
     by_type: dict[str, list] = {wh: [] for wh in WH_TYPES}
-    for sq in evaluated:
-        by_type[sq.wh_type].append(sq.labels_ranked())
-    all_lists = [sq.labels_ranked() for sq in evaluated]
+    all_lists = _validated(sq.labels_ranked() for sq in evaluated) if evaluated else []
+    for sq, labels in zip(evaluated, all_lists):
+        by_type[sq.wh_type].append(labels)
     for subset in REPORT_SUBSETS:
         if subset == "Combined":
             lists = all_lists
@@ -127,8 +133,8 @@ def _build_report(evaluated: list[ScoredQuestion], skipped: dict[str, int]) -> M
             lists = by_type.get(subset, [])
             skip = skipped.get(subset, 0)
         if lists:
-            rows.append(SubsetMetrics(subset, len(lists), skip,
-                                      mean_average_precision(lists), mrr(lists)))
+            map_ = sum(_average_precision(l) for l in lists) / len(lists)
+            rows.append(SubsetMetrics(subset, len(lists), skip, map_, _mean_rr(lists)))
         else:
             rows.append(SubsetMetrics(subset, 0, skip, math.nan, math.nan))
     return MetricsReport(rows=tuple(rows))
@@ -140,18 +146,18 @@ def _scorable(question, prototypes) -> bool:
             and len(question.text) > 0 and all(len(c.text) > 0 for c in question.candidates))
 
 
-def _rank_questions(dataset: QADataset, prototypes, rank) -> EvaluationResult:
-    """rank(question) -> RankedList on every scorable question, in dataset
-    order; the others are counted as skipped per wh-type."""
-    evaluated: list[ScoredQuestion] = []
-    skipped: dict[str, int] = {}
+def _rank_questions(dataset: QADataset, prototypes, rank_all) -> EvaluationResult:
+    """rank_all(questions) -> their RankedLists, called once on the scorable
+    questions in dataset order; the others count as skipped per wh-type."""
+    scorable, skipped = [], {}
     for q in dataset.questions:
-        if not _scorable(q, prototypes):
+        if _scorable(q, prototypes):
+            scorable.append(q)
+        else:
             skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
-            continue
-        evaluated.append(ScoredQuestion(
-            question_id=q.question_id, wh_type=q.wh_type, ranking=rank(q),
-            labels=tuple(c.label for c in q.candidates)))
+    evaluated = [ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=ranking,
+                                labels=tuple(c.label for c in q.candidates))
+                 for q, ranking in zip(scorable, rank_all(scorable))]
     return EvaluationResult(report=_build_report(evaluated, skipped), rankings=tuple(evaluated))
 
 
@@ -183,28 +189,40 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
     encoded in one call of ``encode_fn.many`` (a list of token tuples to
     their vectors, in order) when encode_fn has that attribute, as
     encoder.sentence_encoder does, or else by one encode_fn call each.
-    Ranking then reads every vector from the memo, calling
-    rank_candidates once per question.  ``memo``, a dict from token tuples
-    to encode_fn's vectors, carries them across calls with the same
+    Ranking then stacks those vectors as float64 rows and makes one
+    rank_group call per wh-type and candidate count, which scores each
+    question with the bits it gets alone.  ``memo``, a dict from token
+    tuples to encode_fn's vectors, carries them across calls with the same
     encode_fn.
     """
+    check_mode(mode)
     memo = {} if memo is None else memo
-    scorable = [q for q in dataset.questions if _scorable(q, prototypes)]
-    _encode_all(encode_fn, itertools.chain(
-        (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)),
-        (s for q in scorable for s in (q.text, *(c.text for c in q.candidates)))), memo)
 
-    def vec(tokens):
-        return memo[tuple(tokens)]
+    def rank_all(scorable):
+        sentences = list(dict.fromkeys(map(tuple, itertools.chain(
+            (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)),
+            (s for q in scorable for s in (q.text, *(c.text for c in q.candidates)))))))
+        _encode_all(encode_fn, sentences, memo)
+        M = np.array([memo[s] for s in sentences], dtype=np.float64)
+        if sentences and M.ndim != 2:
+            raise ShapeError(f"encode_fn must return vectors, got shape {M.shape[1:]}")
+        index = {s: i for i, s in enumerate(sentences)}
 
-    proto_vecs = {wh: [(vec(pr.question), vec(pr.answer)) for pr in protos]
-                  for wh, protos in prototypes.items()}
+        def rows(token_seqs):
+            return [index[tuple(s)] for s in token_seqs]
 
-    def rank(q):
-        return rank_candidates(vec(q.text), [vec(c.text) for c in q.candidates],
-                               proto_vecs[q.wh_type], mode=mode)
+        groups: dict[tuple, list] = {}
+        for q in scorable:
+            groups.setdefault((q.wh_type, len(q.candidates)), []).append(q)
+        shifts = {wh: M[rows(pr.question for pr in prototypes[wh])] - M[rows(pr.answer for pr in prototypes[wh])]
+                  for wh, _ in groups}
+        ranked = {}
+        for (wh, _), qs in groups.items():
+            C = M[[rows(c.text for c in q.candidates) for q in qs]]
+            ranked.update(zip(map(id, qs), rank_group(M[rows(q.text for q in qs)], C, shifts[wh], mode).lists()))
+        return [ranked[id(q)] for q in scorable]
 
-    return _rank_questions(dataset, prototypes, rank)
+    return _rank_questions(dataset, prototypes, rank_all)
 
 
 def mean_embedding_encoder(table: EmbeddingTable):
@@ -238,7 +256,7 @@ def random_rank(dataset: QADataset, prototypes: dict[str, list[Prototype]],
                                         best_prototype_index=-1) for r, i in enumerate(order))
         return RankedList(entries=entries, mode=ENERGY_MODE, degenerate_count=0)
 
-    return _rank_questions(dataset, prototypes, rank)
+    return _rank_questions(dataset, prototypes, lambda questions: [rank(q) for q in questions])
 
 
 @dataclass(frozen=True)
@@ -265,6 +283,7 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
     """Evaluate once per requested prototype count, re-selecting with the
     same seed (so smaller sets are prefixes of larger ones); each distinct
     sentence is encoded once across all counts."""
+    check_mode(mode)
     p_values = list(p_values)
     if not p_values:
         raise ValueError("p_values must be non-empty")

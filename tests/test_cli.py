@@ -282,8 +282,9 @@ class TestDataErrors:
 
 class TestQuickStartCheckpoint:
     """The README quick start against a committed checkpoint of it, written
-    by an earlier version of the trainer: eval prints the committed report,
-    and train writes the same files byte for byte."""
+    by an earlier version of the trainer: eval, rank, baseline and
+    sweep-prototypes print the committed outputs, and train writes the same
+    files byte for byte."""
 
     def test_eval_prints_committed_report(self, capsys):
         rc, out, _ = _run(capsys, ["eval", "--checkpoint", str(FIXTURES / "quickstart_checkpoint"),
@@ -291,6 +292,19 @@ class TestQuickStartCheckpoint:
                                    "--embeddings", str(REPO / "data" / "toy_vectors.vec")])
         assert rc == 0
         assert out == (FIXTURES / "quickstart_eval.tsv").read_text()
+
+    @pytest.mark.parametrize("argv, fixture", [
+        (["rank", "--checkpoint", "CKPT"], "quickstart_rank.tsv"),
+        (["rank", "--checkpoint", "CKPT", "--mode", "dissimilarity"], "quickstart_rank_dissimilarity.tsv"),
+        (["baseline", "--method", "mean"], "quickstart_baseline_mean.tsv"),
+        (["sweep-prototypes", "--checkpoint", "CKPT", "--p", "1,2"], "quickstart_sweep.tsv"),
+    ], ids=["rank", "rank-dissimilarity", "baseline-mean", "sweep-prototypes"])
+    def test_prints_committed_output(self, capsys, argv, fixture):
+        argv = [str(FIXTURES / "quickstart_checkpoint") if a == "CKPT" else a for a in argv]
+        rc, out, _ = _run(capsys, [*argv, "--data", str(REPO / "data" / "toy_qa.tsv"),
+                                   "--embeddings", str(REPO / "data" / "toy_vectors.vec")])
+        assert rc == 0
+        assert out == (FIXTURES / fixture).read_text()
 
     def test_train_writes_committed_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(REPO)  # config.json records the data paths as given

@@ -228,6 +228,19 @@ class TestEvaluatePipeline:
         assert result.report.row("Who").skipped == 1
         assert not result.rankings
 
+    def test_unknown_mode_rejected_without_scorable_questions(self):
+        """The mode is checked before any question is ranked, so a
+        dataset with nothing to rank cannot hide a bad one."""
+        table, _, protos = _toy_world()
+        ds = _dataset(_question("x", "who q", [("a1", 0)]), _question("y", "what q", [("a0", 1)]))
+        encode_fn = mean_embedding_encoder(table)
+        assert math.isnan(evaluate(encode_fn, ds, protos).report.row("Combined").mrr)
+        for run in (lambda: evaluate(encode_fn, ds, protos, mode="bogus"),
+                    lambda: baseline_rank(ds, table, protos, mode="bogus"),
+                    lambda: sweep_prototypes(encode_fn, ds, ds, [1], seed=0, mode="bogus")):
+            with pytest.raises(ValueError, match="mode must be one of"):
+                run()
+
     def test_score_monotone_invariance(self):
         """Metrics depend only on the ranking: exponentiating all encoder
         outputs' scale (a strictly monotone score map) keeps MRR/MAP."""

@@ -1,0 +1,196 @@
+"""rank_group against a per-question oracle, bit for bit, and evaluate's
+grouped ranking against the per-question loop it replaced."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from analogia.analogy_core import (
+    COSINE_EPSILON,
+    ENERGY_MODE,
+    RANK_MODES,
+    RankedCandidate,
+    RankedList,
+    rank_candidates,
+    rank_group,
+)
+from analogia.encoder import EncoderParams, sentence_encoder
+from analogia.evaluation import (
+    ScoredQuestion,
+    _build_report,
+    _scorable,
+    evaluate,
+    mean_average_precision,
+    mean_embedding_encoder,
+    mrr,
+    rankings_to_tsv,
+)
+from analogia.numerics import ShapeError
+from analogia.quadgen import select_prototypes
+from analogia.synthetic import build_corpus
+from analogia.text_data import QADataset, WH_TYPES
+
+
+def _oracle_rank(q, C, P, mode):
+    """One question's ranking, as rank_candidates computed it before
+    rank_group: q (d,), C (n, d), P (p, d) prototype shifts."""
+    shifts = q[None, :] - C
+    degenerate_count = 0
+    if mode == ENERGY_MODE:
+        dots = shifts @ P.T
+        ns = np.linalg.norm(shifts, axis=1)
+        np_ = np.linalg.norm(P, axis=1)
+        degen = (ns[:, None] < COSINE_EPSILON) | (np_[None, :] < COSINE_EPSILON)
+        denom = np.where(degen, 1.0, ns[:, None] * np_[None, :])
+        E = np.clip(dots / denom, -1.0, 1.0)
+        E[degen] = 0.0
+        degenerate_count = int(degen.sum())
+        scores = E.max(axis=1)
+        best = E.argmax(axis=1)
+        order = sorted(range(C.shape[0]), key=lambda i: -scores[i])
+    else:
+        V = np.linalg.norm(P[None, :, :] - shifts[:, None, :], axis=2)
+        scores = V.min(axis=1)
+        best = V.argmin(axis=1)
+        order = sorted(range(C.shape[0]), key=lambda i: scores[i])
+    return scores, best, np.array(order), degenerate_count
+
+
+def _group(rng, G, n, p, d):
+    """G questions with zero question shifts, exact ties and a zero
+    prototype shift mixed in."""
+    scale = 10.0 ** rng.integers(-3, 3, size=(G, 1))
+    q = rng.standard_normal((G, d)) * scale
+    C = rng.standard_normal((G, n, d)) * scale[:, :, None]
+    C[0, 0] = q[0]  # a zero question shift
+    if n > 1:
+        C[1 % G, n - 1] = C[1 % G, 0]  # an exact score tie
+        C[G - 1] = C[G - 1, :1]  # every candidate tied
+    protos = rng.standard_normal((p, 2, d))
+    if p > 1:
+        protos[1, 1] = protos[1, 0]  # a zero prototype shift
+        protos[p - 1] = protos[0]  # a prototype tie
+    return q, C, protos[:, 0] - protos[:, 1]
+
+
+@pytest.mark.parametrize("mode", RANK_MODES)
+@pytest.mark.parametrize("d", [2, 8, 32, 300])
+def test_rank_group_matches_per_question_oracle(mode, d):
+    rng = np.random.default_rng(d)
+    for n, p in itertools.product([1, 2, 7, 12], [1, 2, 5]):
+        G = int(rng.integers(2, 9))
+        q, C, P = _group(rng, G, n, p, d)
+        got = rank_group(q, C, P, mode)
+        assert got.scores.shape == got.best.shape == got.order.shape == (G, n)
+        for g in range(G):
+            scores, best, order, degenerate = _oracle_rank(q[g], C[g], P, mode)
+            assert np.array_equal(got.scores[g], scores), (n, p, g)
+            assert np.array_equal(got.best[g], best), (n, p, g)
+            assert np.array_equal(got.order[g], order), (n, p, g)
+            assert got.degenerate[g] == degenerate, (n, p, g)
+
+
+def test_rank_group_counts_degenerate_pairs():
+    q = np.zeros((2, 3))
+    C = np.array([[[0.0, 0, 0], [1, 0, 0]], [[1, 0, 0], [0, 1, 0]]])
+    P = np.array([[1.0, 0, 0], [0, 0, 0]])
+    got = rank_group(q, C, P)
+    # question 0: candidate 0's shift is zero (2 pairs), candidate 1 meets
+    # the zero prototype (1); question 1: the zero prototype twice
+    assert got.degenerate.tolist() == [3, 2]
+    # a degenerate pair's neutral 0 beats a cosine of -1
+    assert got.scores.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert got.best.tolist() == [[0, 1], [1, 0]]
+
+
+def test_rank_candidates_is_the_one_question_group():
+    rng = np.random.default_rng(3)
+    q, C, protos = rng.standard_normal(6), rng.standard_normal((4, 6)), rng.standard_normal((3, 2, 6))
+    for mode in RANK_MODES:
+        alone = rank_candidates(q, list(C), [(qp, ap) for qp, ap in protos], mode=mode)
+        (grouped,) = rank_group(q[None], C[None], protos[:, 0] - protos[:, 1], mode).lists()
+        assert alone == grouped
+
+
+def test_rank_group_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        rank_group(np.zeros((1, 2)), np.zeros((1, 1, 2)), np.ones((1, 2)), mode="mean")
+
+
+def _oracle_evaluate(memo, dataset, prototypes, mode):
+    """The per-question loop evaluate ran before grouping, over vectors
+    evaluate has already put in memo."""
+    scored, skipped = [], {}
+    for q in dataset.questions:
+        if not _scorable(q, prototypes):
+            skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
+            continue
+        P = np.stack([memo[pr.question] - memo[pr.answer] for pr in prototypes[q.wh_type]])
+        C = np.stack([memo[c.text] for c in q.candidates])
+        scores, best, order, degenerate = _oracle_rank(memo[q.text], C, P, mode)
+        entries = tuple(RankedCandidate(int(i), float(scores[i]), r + 1, int(best[i]))
+                        for r, i in enumerate(order))
+        scored.append(ScoredQuestion(q.question_id, q.wh_type, RankedList(entries, mode, degenerate),
+                                     tuple(c.label for c in q.candidates)))
+    return scored, skipped
+
+
+def _old_report_tsv(scored, skipped):
+    """Report rows as the per-subset mrr/mean_average_precision calls
+    computed them."""
+    lines = ["subset\tquestions\tskipped\tMAP\tMRR"]
+    for subset in WH_TYPES + ("Other", "Combined"):
+        lists = [sq.labels_ranked() for sq in scored if subset in ("Combined", sq.wh_type)]
+        skip = sum(skipped.values()) if subset == "Combined" else skipped.get(subset, 0)
+        values = (mean_average_precision(lists), mrr(lists)) if lists else (float("nan"),) * 2
+        lines.append(f"{subset}\t{len(lists)}\t{skip}\t{values[0]!r}\t{values[1]!r}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _varied_corpus():
+    """The synthetic held-out split, with candidates dropped so that
+    questions of one wh-type have different candidate counts, and one
+    question left without a positive."""
+    corpus = build_corpus(train_per_type=12, eval_per_type=8, embedding_dim=8, seed=4)
+    questions = []
+    for k, q in enumerate(corpus.held_out.questions):
+        negatives = [c for c in q.candidates if c.label == 0]
+        drop = negatives[: k % (len(negatives) + 1)]
+        keep = tuple(negatives if k == 5 else (c for c in q.candidates if c not in drop))
+        questions.append(type(q)(q.question_id, q.text, q.wh_type, keep))
+    return corpus, QADataset(questions=tuple(questions))
+
+
+@pytest.mark.parametrize("mode", RANK_MODES)
+@pytest.mark.parametrize("learned", [False, True], ids=["mean-embedding", "bigru"])
+def test_evaluate_matches_per_question_loop(mode, learned):
+    corpus, dataset = _varied_corpus()
+    prototypes = select_prototypes(corpus.train, p=3, seed=1)
+    prototypes["Where"] = prototypes["Where"][:1]
+    if learned:
+        encode_fn = sentence_encoder(corpus.table, EncoderParams.initialize(8, 6, seed=2))
+    else:
+        encode_fn = mean_embedding_encoder(corpus.table)
+    memo = {}
+    result = evaluate(encode_fn, dataset, prototypes, mode=mode, memo=memo)
+    scored, skipped = _oracle_evaluate(memo, dataset, prototypes, mode)
+    assert sum(skipped.values()) == 1
+    assert len({(q.wh_type, len(q.candidates)) for q in dataset.questions}) > len(WH_TYPES)
+    assert rankings_to_tsv(result.rankings) == rankings_to_tsv(scored)
+    assert result.report.to_tsv() == _old_report_tsv(scored, skipped)
+    assert result.rankings == tuple(scored)
+
+
+def test_evaluate_rejects_encodings_that_are_not_vectors():
+    corpus, dataset = _varied_corpus()
+    prototypes = select_prototypes(corpus.train, p=2, seed=1)
+    mean = mean_embedding_encoder(corpus.table)
+    with pytest.raises(ShapeError, match="must return vectors"):
+        evaluate(lambda tokens: mean(tokens)[None], dataset, prototypes)
+
+
+def test_build_report_rejects_non_binary_labels():
+    sq = ScoredQuestion("q", "Who", RankedList((RankedCandidate(0, 1.0, 1, 0),), ENERGY_MODE), (2,))
+    with pytest.raises(ValueError, match="non-binary"):
+        _build_report([sq], {})
