@@ -358,6 +358,8 @@ def _cmd_sweep(cfg) -> None:
     dataset = _dataset(cfg)
     result = sweep_prototypes(encode_fn, dataset, _proto_dataset(cfg, dataset), p_values=cfg["p"],
                               seed=cfg["seed"], mode=cfg["mode"])
+    for warning in result.warnings:
+        _log.warning("%s", warning)
     _emit_text(cfg["out"], result.to_tsv())
 
 

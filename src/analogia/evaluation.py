@@ -4,6 +4,15 @@ Questions are evaluated only when they can be scored meaningfully: they
 need at least one gold-positive candidate, at least one same-type
 prototype, and no empty sentences.  Everything else is counted as skipped,
 per subset, so all methods report over an identical question set.
+
+Ranking a question set runs in two parts.  A plan is prepared once: the
+scorable filter and the skipped counts, one encoding of the distinct
+sentences, and for each (wh-type, candidate count) group its question
+vectors, candidate vectors and gold labels as float64 arrays.  Ranking the
+plan against one prototype set then encodes only prototype sentences not
+seen yet, makes one rank_group call per group, and reads the labels in
+rank order from the group's label array.  evaluate prepares and ranks
+once; sweep_prototypes prepares once and ranks once per prototype count.
 """
 
 from __future__ import annotations
@@ -11,10 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .analogy_core import ENERGY_MODE, RankedCandidate, RankedList, ShapeError, check_mode, rank_group
+from .analogy_core import (ENERGY_MODE, GroupRanking, RankedCandidate, RankedList, ShapeError, check_mode,
+                           rank_group)
 from .analogy_core import rank_candidates  # noqa: F401  perfbench/spans.py wraps evaluation.rank_candidates
 from .quadgen import Prototype, select_prototypes
 from .text_data import OTHER, WH_TYPES, EmbeddingTable, QADataset
@@ -38,19 +49,16 @@ def _validated(label_lists) -> list[tuple]:
     return label_lists
 
 
-def _mean_rr(label_lists) -> float:
-    total = 0.0
-    for labels in label_lists:
-        total += 1.0 / (labels.index(1) + 1)
-    return total / len(label_lists)
-
-
 def mrr(label_lists) -> float:
     """Mean reciprocal rank of the first positive, ranks 1-based.
 
     Each element is that question's gold labels in rank order.
     """
-    return _mean_rr(_validated(label_lists))
+    label_lists = _validated(label_lists)
+    total = 0.0
+    for labels in label_lists:
+        total += 1.0 / (labels.index(1) + 1)
+    return total / len(label_lists)
 
 
 def average_precision(labels) -> float:
@@ -119,24 +127,33 @@ class EvaluationResult:
     rankings: tuple[ScoredQuestion, ...]
 
 
-def _build_report(evaluated: list[ScoredQuestion], skipped: dict[str, int]) -> MetricsReport:
-    rows = []
+def _subset_metrics(subset: str, scores: list[tuple[float, float]], skipped: int) -> SubsetMetrics:
+    """A report row from its questions' (AP, RR) pairs, summed in their
+    order as mean_average_precision and mrr sum them."""
+    if not scores:
+        return SubsetMetrics(subset, 0, skipped, math.nan, math.nan)
+    total = 0.0
+    for _, rr in scores:
+        total += rr
+    return SubsetMetrics(subset, len(scores), skipped, sum(ap for ap, _ in scores) / len(scores),
+                         total / len(scores))
+
+
+def _question_scores(label_lists) -> list[tuple[float, float]]:
+    """Each validated list's average precision and reciprocal rank."""
+    return [(_average_precision(l), 1.0 / (l.index(1) + 1)) for l in label_lists]
+
+
+def _build_report(wh_types: list[str], label_lists: list, skipped: dict[str, int]) -> MetricsReport:
+    """Per-subset rows over questions given by wh-type and validated labels
+    in rank order; each question's AP and RR are computed once."""
+    scores = _question_scores(label_lists)
     by_type: dict[str, list] = {wh: [] for wh in WH_TYPES}
-    all_lists = _validated(sq.labels_ranked() for sq in evaluated) if evaluated else []
-    for sq, labels in zip(evaluated, all_lists):
-        by_type[sq.wh_type].append(labels)
-    for subset in REPORT_SUBSETS:
-        if subset == "Combined":
-            lists = all_lists
-            skip = sum(skipped.values())
-        else:
-            lists = by_type.get(subset, [])
-            skip = skipped.get(subset, 0)
-        if lists:
-            map_ = sum(_average_precision(l) for l in lists) / len(lists)
-            rows.append(SubsetMetrics(subset, len(lists), skip, map_, _mean_rr(lists)))
-        else:
-            rows.append(SubsetMetrics(subset, 0, skip, math.nan, math.nan))
+    for wh, score in zip(wh_types, scores):
+        by_type[wh].append(score)
+    rows = [_subset_metrics(subset, by_type.get(subset, []), skipped.get(subset, 0))
+            for subset in REPORT_SUBSETS if subset != "Combined"]
+    rows.append(_subset_metrics("Combined", scores, sum(skipped.values())))
     return MetricsReport(rows=tuple(rows))
 
 
@@ -146,19 +163,17 @@ def _scorable(question, prototypes) -> bool:
             and len(question.text) > 0 and all(len(c.text) > 0 for c in question.candidates))
 
 
-def _rank_questions(dataset: QADataset, prototypes, rank_all) -> EvaluationResult:
-    """rank_all(questions) -> their RankedLists, called once on the scorable
-    questions in dataset order; the others count as skipped per wh-type."""
-    scorable, skipped = [], {}
+def _split(dataset: QADataset, prototypes) -> tuple[list, list[tuple], dict[str, int]]:
+    """The scorable questions in dataset order, their gold labels
+    (validated), and the other questions counted per wh-type."""
+    questions, skipped = [], {}
     for q in dataset.questions:
         if _scorable(q, prototypes):
-            scorable.append(q)
+            questions.append(q)
         else:
             skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
-    evaluated = [ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=ranking,
-                                labels=tuple(c.label for c in q.candidates))
-                 for q, ranking in zip(scorable, rank_all(scorable))]
-    return EvaluationResult(report=_build_report(evaluated, skipped), rankings=tuple(evaluated))
+    labels = _validated(tuple(c.label for c in q.candidates) for q in questions) if questions else []
+    return questions, labels, skipped
 
 
 def _encode_all(encode_fn, sentences, memo: dict) -> None:
@@ -172,6 +187,88 @@ def _encode_all(encode_fn, sentences, memo: dict) -> None:
     vectors = many(missing) if many is not None else [encode_fn(s) for s in missing]
     for s, v in zip(missing, vectors):
         memo[s] = v
+
+
+def _prototype_sentences(prototypes):
+    return (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer))
+
+
+class _Group(NamedTuple):
+    """The scorable questions of one wh-type and candidate count."""
+
+    wh_type: str
+    members: list[int]  # their positions in _Plan.questions
+    q: np.ndarray  # (G, d) question vectors, float64
+    C: np.ndarray  # (G, n, d) candidate vectors, float64
+    labels: np.ndarray  # (G, n) gold labels by candidate index
+
+
+class _Plan(NamedTuple):
+    """What ranking a question set needs that no prototype set changes."""
+
+    questions: list  # the scorable questions, in dataset order
+    labels: list[tuple]  # their gold labels by candidate index
+    skipped: dict[str, int]
+    groups: list[_Group]
+    encode_fn: object
+    memo: dict  # token tuple -> encode_fn's vector
+
+
+def _prepare(encode_fn, dataset: QADataset, prototypes, memo: dict) -> _Plan:
+    """Filter, encode and group ``dataset`` once.  The prototypes decide
+    which wh-types are scorable, and their sentences are encoded first, in
+    the same encode_fn.many call as the questions'."""
+    questions, labels, skipped = _split(dataset, prototypes)
+    sentences = list(dict.fromkeys(map(tuple, itertools.chain(
+        _prototype_sentences(prototypes),
+        (s for q in questions for s in (q.text, *(c.text for c in q.candidates)))))))
+    _encode_all(encode_fn, sentences, memo)
+    M = np.array([memo[s] for s in sentences], dtype=np.float64)
+    if sentences and M.ndim != 2:
+        raise ShapeError(f"encode_fn must return vectors, got shape {M.shape[1:]}")
+    index = {s: i for i, s in enumerate(sentences)}
+    members: dict[tuple, list[int]] = {}
+    for i, q in enumerate(questions):
+        members.setdefault((q.wh_type, len(q.candidates)), []).append(i)
+    groups = []
+    for (wh, _), idx in members.items():
+        qs = [questions[i] for i in idx]
+        groups.append(_Group(wh, idx, M[[index[tuple(q.text)] for q in qs]],
+                             M[[[index[tuple(c.text)] for c in q.candidates] for q in qs]],
+                             np.array([labels[i] for i in idx])))
+    return _Plan(questions, labels, skipped, groups, encode_fn, memo)
+
+
+def _rank(plan: _Plan, prototypes, mode: str) -> list[GroupRanking]:
+    """One rank_group call per group of the plan against ``prototypes``,
+    which must hold a prototype for every wh-type the plan ranks; their
+    sentences not yet encoded are encoded in one call first."""
+    _encode_all(plan.encode_fn, _prototype_sentences(prototypes), plan.memo)
+
+    def vectors(token_seqs):
+        return np.array([plan.memo[tuple(s)] for s in token_seqs], dtype=np.float64)
+
+    shifts = {}
+    for g in plan.groups:
+        if g.wh_type not in shifts:
+            protos = prototypes[g.wh_type]
+            shifts[g.wh_type] = vectors(pr.question for pr in protos) - vectors(pr.answer for pr in protos)
+    return [rank_group(g.q, g.C, shifts[g.wh_type], mode) for g in plan.groups]
+
+
+def _in_dataset_order(plan: _Plan, per_group) -> list:
+    """Per-group sequences, one item per member, as one list in the order
+    of plan.questions."""
+    out = [None] * len(plan.questions)
+    for g, items in zip(plan.groups, per_group):
+        for i, item in zip(g.members, items):
+            out[i] = item
+    return out
+
+
+def _ranked_labels(plan: _Plan, rankings: list[GroupRanking]) -> list[list[int]]:
+    return _in_dataset_order(plan, (np.take_along_axis(g.labels, r.order, 1).tolist()
+                                    for g, r in zip(plan.groups, rankings)))
 
 
 def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype]],
@@ -196,33 +293,13 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
     encode_fn.
     """
     check_mode(mode)
-    memo = {} if memo is None else memo
-
-    def rank_all(scorable):
-        sentences = list(dict.fromkeys(map(tuple, itertools.chain(
-            (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)),
-            (s for q in scorable for s in (q.text, *(c.text for c in q.candidates)))))))
-        _encode_all(encode_fn, sentences, memo)
-        M = np.array([memo[s] for s in sentences], dtype=np.float64)
-        if sentences and M.ndim != 2:
-            raise ShapeError(f"encode_fn must return vectors, got shape {M.shape[1:]}")
-        index = {s: i for i, s in enumerate(sentences)}
-
-        def rows(token_seqs):
-            return [index[tuple(s)] for s in token_seqs]
-
-        groups: dict[tuple, list] = {}
-        for q in scorable:
-            groups.setdefault((q.wh_type, len(q.candidates)), []).append(q)
-        shifts = {wh: M[rows(pr.question for pr in prototypes[wh])] - M[rows(pr.answer for pr in prototypes[wh])]
-                  for wh, _ in groups}
-        ranked = {}
-        for (wh, _), qs in groups.items():
-            C = M[[rows(c.text for c in q.candidates) for q in qs]]
-            ranked.update(zip(map(id, qs), rank_group(M[rows(q.text for q in qs)], C, shifts[wh], mode).lists()))
-        return [ranked[id(q)] for q in scorable]
-
-    return _rank_questions(dataset, prototypes, rank_all)
+    plan = _prepare(encode_fn, dataset, prototypes, {} if memo is None else memo)
+    rankings = _rank(plan, prototypes, mode)
+    lists = _in_dataset_order(plan, (r.lists() for r in rankings))
+    evaluated = tuple(ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=ranking, labels=labels)
+                      for q, ranking, labels in zip(plan.questions, lists, plan.labels))
+    report = _build_report([q.wh_type for q in plan.questions], _ranked_labels(plan, rankings), plan.skipped)
+    return EvaluationResult(report=report, rankings=evaluated)
 
 
 def mean_embedding_encoder(table: EmbeddingTable):
@@ -256,7 +333,11 @@ def random_rank(dataset: QADataset, prototypes: dict[str, list[Prototype]],
                                         best_prototype_index=-1) for r, i in enumerate(order))
         return RankedList(entries=entries, mode=ENERGY_MODE, degenerate_count=0)
 
-    return _rank_questions(dataset, prototypes, lambda questions: [rank(q) for q in questions])
+    questions, labels, skipped = _split(dataset, prototypes)
+    evaluated = tuple(ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=rank(q), labels=l)
+                      for q, l in zip(questions, labels))
+    report = _build_report([q.wh_type for q in questions], [sq.labels_ranked() for sq in evaluated], skipped)
+    return EvaluationResult(report=report, rankings=evaluated)
 
 
 @dataclass(frozen=True)
@@ -280,24 +361,37 @@ class SweepResult:
 
 def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADataset,
                      p_values, seed: int, mode: str = ENERGY_MODE) -> SweepResult:
-    """Evaluate once per requested prototype count, re-selecting with the
-    same seed (so smaller sets are prefixes of larger ones); each distinct
-    sentence is encoded once across all counts."""
+    """The Combined MAP/MRR of eval_dataset once per requested prototype
+    count, re-selecting with the same seed (so smaller sets are prefixes
+    of larger ones).
+
+    The plan (scorable filter, one encoding of the questions' and first
+    count's prototype sentences, grouped vectors and labels) is prepared
+    once.  Each count then encodes only its prototype sentences not seen
+    yet, in one call, makes one rank_group call per group and sums the
+    Combined row, bit for bit as evaluate's.
+    """
     check_mode(mode)
     p_values = list(p_values)
     if not p_values:
         raise ValueError("p_values must be non-empty")
     rows = []
     warnings = []
-    memo: dict = {}
+    plan = None
     for p in p_values:
         prototypes = select_prototypes(proto_dataset, p, seed)
         for wh in WH_TYPES:
             got = len(prototypes[wh])
             if got < p:
                 warnings.append(f"p={p}: only {got} answerable {wh} questions available")
-        result = evaluate(encode_fn, eval_dataset, prototypes, mode=mode, memo=memo)
-        combined = result.report.row("Combined")
+        if plan is None:
+            # The scorable set does not depend on p: a wh-type gets at least
+            # one prototype either at every p >= 1 (it has an answerable
+            # question in proto_dataset) or at none, so the first count's
+            # prototypes decide it for every count.
+            plan = _prepare(encode_fn, eval_dataset, prototypes, {})
+        labels = _ranked_labels(plan, _rank(plan, prototypes, mode))
+        combined = _subset_metrics("Combined", _question_scores(labels), sum(plan.skipped.values()))
         rows.append(SweepRow(p=p, map=combined.map, mrr=combined.mrr))
     return SweepResult(rows=tuple(rows), warnings=tuple(warnings))
 

@@ -298,7 +298,9 @@ class TestQuickStartCheckpoint:
         (["rank", "--checkpoint", "CKPT", "--mode", "dissimilarity"], "quickstart_rank_dissimilarity.tsv"),
         (["baseline", "--method", "mean"], "quickstart_baseline_mean.tsv"),
         (["sweep-prototypes", "--checkpoint", "CKPT", "--p", "1,2"], "quickstart_sweep.tsv"),
-    ], ids=["rank", "rank-dissimilarity", "baseline-mean", "sweep-prototypes"])
+        (["sweep-prototypes", "--checkpoint", "CKPT", "--mode", "dissimilarity", "--p", "1,2,3"],
+         "quickstart_sweep_dissimilarity.tsv"),
+    ], ids=["rank", "rank-dissimilarity", "baseline-mean", "sweep-prototypes", "sweep-prototypes-dissimilarity"])
     def test_prints_committed_output(self, capsys, argv, fixture):
         argv = [str(FIXTURES / "quickstart_checkpoint") if a == "CKPT" else a for a in argv]
         rc, out, _ = _run(capsys, [*argv, "--data", str(REPO / "data" / "toy_qa.tsv"),
@@ -607,6 +609,23 @@ def test_python_dash_m_runs_the_cli(module, checkpoint, corpus_dir, tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert "weights.bin" in proc.stderr
+
+
+@pytest.mark.parametrize("p, stdout, stderr", [
+    ("50", "p\tMAP\tMRR\n50\t1.0\t1.0\n",
+     "".join(f"p=50: only 3 answerable {wh} questions available\n" for wh in ("Who", "When", "Where"))),
+    ("1,2", (FIXTURES / "quickstart_sweep.tsv").read_text(), ""),
+], ids=["pool-too-small", "committed"])
+def test_sweep_warnings_go_to_stderr(p, stdout, stderr):
+    # a fresh process, so that the CLI's own logging setup is the one in use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "analogia", "sweep-prototypes",
+                           "--checkpoint", str(FIXTURES / "quickstart_checkpoint"),
+                           "--data", str(REPO / "data" / "toy_qa.tsv"),
+                           "--embeddings", str(REPO / "data" / "toy_vectors.vec"), "--p", p],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, stderr)
 
 
 def test_module_not_importable_side_effect_free():

@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from analogia import analogy_core, evaluation
+from analogia.analogy_core import RANK_MODES
 from analogia.encoder import EncoderParams, encode, sentence_encoder
 from analogia.evaluation import (
     REPORT_SUBSETS,
     EvaluationResult,
+    _scorable,
     average_precision,
     baseline_rank,
     evaluate,
@@ -252,6 +255,17 @@ class TestEvaluatePipeline:
         assert [s.ranking.order() for s in base.rankings] == \
                [s.ranking.order() for s in scaled.rankings]
         assert base.report.row("Combined").map == scaled.report.row("Combined").map
+
+    def test_report_computes_each_average_precision_once(self, monkeypatch):
+        table, ds, protos = _toy_world()
+        calls = []
+        real = evaluation._average_precision
+        monkeypatch.setattr(evaluation, "_average_precision", lambda labels: calls.append(labels) or real(labels))
+        result = evaluate(mean_embedding_encoder(table), ds, protos)
+        assert len(calls) == len(result.rankings) == 3
+        calls.clear()
+        result = random_rank(ds, protos)
+        assert len(calls) == len(result.rankings)
 
     def test_report_row_layout(self):
         table, ds, protos = _toy_world()
@@ -512,3 +526,103 @@ class TestRankTsv:
         assert int(first[3]) == 1
         # one row per candidate of each evaluated question
         assert len(lines) - 1 == sum(len(sq.ranking.entries) for sq in result.rankings)
+
+
+def _sweep_world():
+    """Held-out and prototype sets over random 3-d words.  No Where
+    question of the prototype set is answerable, one held-out Who question
+    has no positive, and held-out questions come with 3 and 4 candidates;
+    some sentences occur in both sets."""
+    rng = np.random.default_rng(3)
+    table = EmbeddingTable(dim=3, entries={f"w{i}": rng.normal(size=3).astype(np.float32) for i in range(30)},
+                           oov_seed=0)
+    openers = ["who", "when", "where"]
+
+    def question(qid, opener, i, n, answerable=True):
+        cands = [(f"w{(i + j) % 30} w{(i + 2 * j + 1) % 30}", int(answerable and j == i % n)) for j in range(n)]
+        return _question(qid, f"{opener} w{i % 30} w{(i + 7) % 30}", cands)
+
+    proto_ds = _dataset(*(question(f"p{i}", openers[i % 3], i, 3, answerable=i % 3 != 2) for i in range(18)))
+    eval_ds = _dataset(*(question(f"e{i}", openers[i % 3], i + 25, 3 + i % 2) for i in range(15)),
+                       question("e-no-positive", "who", 5, 3, answerable=False))
+    return table, eval_ds, proto_ds
+
+
+class TestSweepPlan:
+    """The sweep prepares its questions once and ranks each p with
+    rank_group alone."""
+
+    P_VALUES = [1, 3, 2, 5]
+
+    def _sweep(self, encode_fn, eval_ds, proto_ds, mode="energy"):
+        return sweep_prototypes(encode_fn, eval_ds, proto_ds, self.P_VALUES, seed=0, mode=mode)
+
+    def test_scorable_set_does_not_depend_on_p(self):
+        _, eval_ds, proto_ds = _sweep_world()
+        sets = {tuple(q.question_id for q in eval_ds.questions if _scorable(q, select_prototypes(proto_ds, p, 0)))
+                for p in range(1, 9)}
+        assert len(sets) == 1
+        (scorable,) = sets
+        assert 0 < len(scorable) < len(eval_ds.questions)
+
+    @pytest.mark.parametrize("mode", RANK_MODES)
+    def test_rows_are_evaluates_combined_rows_bit_for_bit(self, mode):
+        table, eval_ds, proto_ds = _sweep_world()
+        res = self._sweep(mean_embedding_encoder(table), eval_ds, proto_ds, mode)
+        assert [r.p for r in res.rows] == self.P_VALUES
+        for p, row in zip(self.P_VALUES, res.rows):
+            report = evaluate(mean_embedding_encoder(table), eval_ds, select_prototypes(proto_ds, p, 0),
+                              mode=mode).report
+            combined = report.row("Combined")
+            # the Where questions and the question without a positive are skipped
+            assert report.row("Where").skipped == 5 and combined.skipped == 6
+            assert (repr(row.map), repr(row.mrr)) == (repr(combined.map), repr(combined.mrr))
+
+    def test_one_rank_group_call_per_group_and_p(self, monkeypatch):
+        table, eval_ds, proto_ds = _sweep_world()
+        calls = []
+        real = evaluation.rank_group
+
+        def counting(q, C, P, mode):
+            calls.append((C.shape[1], len(P)))
+            return real(q, C, P, mode)
+
+        monkeypatch.setattr(evaluation, "rank_group", counting)
+        self._sweep(mean_embedding_encoder(table), eval_ds, proto_ds)
+        groups = {(q.wh_type, len(q.candidates)) for q in eval_ds.questions
+                  if _scorable(q, select_prototypes(proto_ds, 1, 0))}
+        assert len(groups) == 4
+        assert len(calls) == len(self.P_VALUES) * len(groups)
+        assert [n_protos for _, n_protos in calls] == [p for p in self.P_VALUES for _ in groups]
+
+    def test_builds_no_ranked_candidate(self, monkeypatch):
+        table, eval_ds, proto_ds = _sweep_world()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a RankedCandidate")
+
+        monkeypatch.setattr(analogy_core, "RankedCandidate", refuse)
+        res = self._sweep(mean_embedding_encoder(table), eval_ds, proto_ds)
+        assert len(res.rows) == len(self.P_VALUES)
+        with pytest.raises(AssertionError, match="built a RankedCandidate"):
+            evaluate(mean_embedding_encoder(table), eval_ds, select_prototypes(proto_ds, 1, 0))
+
+    def test_encode_batches_are_those_of_one_evaluate_per_p(self):
+        """The first p's distinct sentences in one batch, then each later
+        p's prototype sentences not encoded yet, in first-seen order: what
+        evaluating once per p with one memo encodes."""
+        table, eval_ds, proto_ds = _sweep_world()
+        fn, batches = _counting_batches(mean_embedding_encoder(table))
+        self._sweep(fn, eval_ds, proto_ds)
+        want, seen = [], set()
+        for p in self.P_VALUES:
+            protos = select_prototypes(proto_ds, p, 0)
+            sentences = [s for group in protos.values() for pr in group for s in (pr.question, pr.answer)]
+            sentences += [s for q in eval_ds.questions if _scorable(q, protos)
+                          for s in (q.text, *(c.text for c in q.candidates))]
+            missing = [s for s in dict.fromkeys(sentences) if s not in seen]
+            if missing:
+                want.append(missing)
+                seen.update(missing)
+        assert len(want) == 3  # p = 2 adds no sentence after p = 3
+        assert batches == want

@@ -18,12 +18,12 @@ from analogia.analogy_core import (
 from analogia.encoder import EncoderParams, sentence_encoder
 from analogia.evaluation import (
     ScoredQuestion,
-    _build_report,
     _scorable,
     evaluate,
     mean_average_precision,
     mean_embedding_encoder,
     mrr,
+    random_rank,
     rankings_to_tsv,
 )
 from analogia.numerics import ShapeError
@@ -190,7 +190,15 @@ def test_evaluate_rejects_encodings_that_are_not_vectors():
         evaluate(lambda tokens: mean(tokens)[None], dataset, prototypes)
 
 
-def test_build_report_rejects_non_binary_labels():
-    sq = ScoredQuestion("q", "Who", RankedList((RankedCandidate(0, 1.0, 1, 0),), ENERGY_MODE), (2,))
-    with pytest.raises(ValueError, match="non-binary"):
-        _build_report([sq], {})
+def test_evaluate_rejects_non_binary_labels():
+    """The gold labels are checked once, before ranking, on evaluate's and
+    random_rank's path alike."""
+    corpus, dataset = _varied_corpus()
+    q = dataset.questions[0]
+    bad = type(q)(q.question_id, q.text, q.wh_type, q.candidates + (type(q.candidates[0])(("x",), 2),))
+    dataset = QADataset(questions=(bad,) + dataset.questions[1:])
+    prototypes = select_prototypes(corpus.train, p=2, seed=1)
+    with pytest.raises(ValueError, match="ranked list 0 has non-binary labels"):
+        evaluate(mean_embedding_encoder(corpus.table), dataset, prototypes)
+    with pytest.raises(ValueError, match="ranked list 0 has non-binary labels"):
+        random_rank(dataset, prototypes)
