@@ -46,11 +46,12 @@ on, ``encode_many`` packs and encodes two or more chunks on two threads
 (numpy releases the GIL inside BLAS and its ufunc loops) and holds
 OpenBLAS to one thread through its C API until they end, restoring its
 count after.  Without that limit the pool's threads and OpenBLAS's compete
-for the CPUs and the pool loses.  When OpenBLAS's thread count cannot be
-set, the chunks run one after another, as they do below the crossover.
-Float64 GEMMs of 32 or more rows can differ by about 1e-14 between one and
-two BLAS threads; at hidden 150 the rows moved by at most 4.4e-16 against
-the sequential path.
+for the CPUs and the pool loses.  The pool lives for one encode_many
+call: its threads have ended when the call returns or raises.  When
+OpenBLAS's thread count cannot be set, the chunks run one after another,
+as they do below the crossover.  Float64 GEMMs of 32 or more rows can
+differ by about 1e-14 between one and two BLAS threads; at hidden 150 the
+rows moved by at most 4.4e-16 against the sequential path.
 
 The 18 parameter tensors live in one flat buffer, ``EncoderParams.flat``,
 in checkpoint order; ``layout`` is the one place that says where each
@@ -441,13 +442,6 @@ def _openblas_threads():
     return None
 
 
-@cache
-def _pool():
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(INFERENCE_THREADS, thread_name_prefix="analogia-encode")
-
-
 # The OpenBLAS thread count is process-wide: one caller at a time holds it
 # at one thread, and a concurrent caller runs its chunks sequentially.
 _blas_limit = threading.Lock()
@@ -482,21 +476,18 @@ def encode_many(sentences, table: EmbeddingTable, params: EncoderParams) -> np.n
 
 
 def _on_pool(fn, args, set_threads, get_threads) -> list:
-    """[fn(a) for a in args] on the pool's threads, with OpenBLAS held to
-    one thread until every call has ended."""
-    from concurrent.futures import wait
+    """[fn(a) for a in args] on a pool of INFERENCE_THREADS threads that
+    lives for this call, with OpenBLAS held to one thread until every call
+    has ended."""
+    from concurrent.futures import ThreadPoolExecutor
 
+    pool = ThreadPoolExecutor(INFERENCE_THREADS, thread_name_prefix="analogia-encode")
     before = get_threads()
     set_threads(1)
     try:
-        jobs = [_pool().submit(fn, a) for a in args]
-        try:
-            return [job.result() for job in jobs]
-        finally:
-            for job in jobs:
-                job.cancel()
-            wait(jobs)
+        return list(pool.map(fn, args))
     finally:
+        pool.shutdown(cancel_futures=True)
         set_threads(before)
 
 

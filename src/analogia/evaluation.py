@@ -12,7 +12,8 @@ vectors, candidate vectors and gold labels as float64 arrays.  Ranking the
 plan against one prototype set then encodes only prototype sentences not
 seen yet, makes one rank_group call per group, and reads the labels in
 rank order from the group's label array.  evaluate prepares and ranks
-once; sweep_prototypes prepares once and ranks once per prototype count.
+once; sweep_prototypes draws its prototypes and prepares once, and ranks
+once per prototype count.  random_rank orders through GroupRanking too.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analogy_core import (ENERGY_MODE, GroupRanking, RankedCandidate, RankedList, ShapeError, check_mode,
-                           rank_group)
+from .analogy_core import ENERGY_MODE, GroupRanking, RankedList, ShapeError, check_mode, rank_group
 from .analogy_core import rank_candidates  # noqa: F401  perfbench/spans.py wraps evaluation.rank_candidates
 from .quadgen import Prototype, select_prototypes
 from .text_data import OTHER, WH_TYPES, EmbeddingTable, QADataset
@@ -54,11 +54,7 @@ def mrr(label_lists) -> float:
 
     Each element is that question's gold labels in rank order.
     """
-    label_lists = _validated(label_lists)
-    total = 0.0
-    for labels in label_lists:
-        total += 1.0 / (labels.index(1) + 1)
-    return total / len(label_lists)
+    return _subset_metrics("", _question_scores(_validated(label_lists)), 0).mrr
 
 
 def average_precision(labels) -> float:
@@ -77,8 +73,7 @@ def _average_precision(labels) -> float:
 
 
 def mean_average_precision(label_lists) -> float:
-    label_lists = _validated(label_lists)
-    return sum(_average_precision(l) for l in label_lists) / len(label_lists)
+    return _subset_metrics("", _question_scores(_validated(label_lists)), 0).map
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,7 @@ class EvaluationResult:
 
 def _subset_metrics(subset: str, scores: list[tuple[float, float]], skipped: int) -> SubsetMetrics:
     """A report row from its questions' (AP, RR) pairs, summed in their
-    order as mean_average_precision and mrr sum them."""
+    order."""
     if not scores:
         return SubsetMetrics(subset, 0, skipped, math.nan, math.nan)
     total = 0.0
@@ -185,6 +180,8 @@ def _encode_all(encode_fn, sentences, memo: dict) -> None:
         return
     many = getattr(encode_fn, "many", None)
     vectors = many(missing) if many is not None else [encode_fn(s) for s in missing]
+    if len(vectors) != len(missing):
+        raise ShapeError(f"encode_fn.many returned {len(vectors)} vectors for {len(missing)} sentences")
     for s, v in zip(missing, vectors):
         memo[s] = v
 
@@ -327,11 +324,9 @@ def random_rank(dataset: QADataset, prototypes: dict[str, list[Prototype]],
     rng = np.random.default_rng(seed)
 
     def rank(q):
-        scores = rng.random(len(q.candidates))
-        order = sorted(range(len(scores)), key=lambda i: -scores[i])
-        entries = tuple(RankedCandidate(candidate_index=i, score=float(scores[i]), rank=r + 1,
-                                        best_prototype_index=-1) for r, i in enumerate(order))
-        return RankedList(entries=entries, mode=ENERGY_MODE, degenerate_count=0)
+        scores = rng.random((1, len(q.candidates)))
+        return GroupRanking(scores, np.full(scores.shape, -1), np.argsort(-scores, axis=-1, kind="stable"),
+                            np.zeros(1, dtype=np.int64), ENERGY_MODE).lists()[0]
 
     questions, labels, skipped = _split(dataset, prototypes)
     evaluated = tuple(ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=rank(q), labels=l)
@@ -362,8 +357,9 @@ class SweepResult:
 def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADataset,
                      p_values, seed: int, mode: str = ENERGY_MODE) -> SweepResult:
     """The Combined MAP/MRR of eval_dataset once per requested prototype
-    count, re-selecting with the same seed (so smaller sets are prefixes
-    of larger ones).
+    count.  The prototypes are drawn once, at the largest count; each count
+    takes the first p of every wh-type's draw, which is what
+    select_prototypes gives at p with the same seed.
 
     The plan (scorable filter, one encoding of the questions' and first
     count's prototype sentences, grouped vectors and labels) is prepared
@@ -375,21 +371,21 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
     p_values = list(p_values)
     if not p_values:
         raise ValueError("p_values must be non-empty")
+    if min(p_values) < 1:
+        raise ValueError(f"p must be >= 1, got {min(p_values)}")
+    drawn = select_prototypes(proto_dataset, max(p_values), seed)
+    draws = [{wh: protos[:p] for wh, protos in drawn.items()} for p in p_values]
+    # The scorable set does not depend on p: a wh-type gets at least one
+    # prototype either at every p >= 1 (it has an answerable question in
+    # proto_dataset) or at none, so the first count's prototypes decide it.
+    plan = _prepare(encode_fn, eval_dataset, draws[0], {})
     rows = []
     warnings = []
-    plan = None
-    for p in p_values:
-        prototypes = select_prototypes(proto_dataset, p, seed)
+    for p, prototypes in zip(p_values, draws):
         for wh in WH_TYPES:
             got = len(prototypes[wh])
             if got < p:
                 warnings.append(f"p={p}: only {got} answerable {wh} questions available")
-        if plan is None:
-            # The scorable set does not depend on p: a wh-type gets at least
-            # one prototype either at every p >= 1 (it has an answerable
-            # question in proto_dataset) or at none, so the first count's
-            # prototypes decide it for every count.
-            plan = _prepare(encode_fn, eval_dataset, prototypes, {})
         labels = _ranked_labels(plan, _rank(plan, prototypes, mode))
         combined = _subset_metrics("Combined", _question_scores(labels), sum(plan.skipped.values()))
         rows.append(SweepRow(p=p, map=combined.map, mrr=combined.mrr))

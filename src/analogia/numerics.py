@@ -197,12 +197,7 @@ class GradTape:
 
 
 def _emit(output_arr: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
-    # Body of Tensor._wrap plus the tape check, flattened: this runs once
-    # per op and the call overhead is measurable in gradient audits.
-    # encoder.bigru records its node through here too.
-    out = object.__new__(Tensor)
-    output_arr.setflags(write=False)
-    out._data = output_arr
+    out = Tensor._wrap(output_arr)
     stack = getattr(_LOCAL, "stack", None)
     if stack:
         stack[-1]._nodes.append(_Node(inputs, out, backward_fn))
@@ -210,8 +205,6 @@ def _emit(output_arr: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
 
 
 def _check_tensor(op: str, *ts):
-    # Hot ops guard with `type(x) is not Tensor` and only fall back here, so
-    # exact Tensors skip the varargs call; subclasses still pass this loop.
     for t in ts:
         if not isinstance(t, Tensor):
             raise TypeError(f"{op}: expected Tensor operands, got {type(t).__name__}")
@@ -224,8 +217,7 @@ def _check_tensor(op: str, *ts):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix/vector product: 2x2, 2x1, 1x2 or 1x1 (dot) rank combinations."""
-    if type(a) is not Tensor or type(b) is not Tensor:
-        _check_tensor("matmul", a, b)
+    _check_tensor("matmul", a, b)
     av, bv = a.values, b.values
     if a.ndim == 0 or b.ndim == 0:
         raise ShapeError(f"matmul: rank-0 operand, shapes {a.shape} and {b.shape}")
@@ -260,8 +252,7 @@ def _elementwise_pair(op: str, av: np.ndarray, bv: np.ndarray):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; a (B,n) matrix accepts a length-n vector broadcast over rows."""
-    if type(a) is not Tensor or type(b) is not Tensor:
-        _check_tensor("add", a, b)
+    _check_tensor("add", a, b)
     av, bv = a.values, b.values
     kind = _elementwise_pair("add", av, bv)
     out = av + bv
@@ -276,8 +267,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise difference, same broadcast rules as add."""
-    if type(a) is not Tensor or type(b) is not Tensor:
-        _check_tensor("sub", a, b)
+    _check_tensor("sub", a, b)
     av, bv = a.values, b.values
     kind = _elementwise_pair("sub", av, bv)
     out = av - bv
@@ -292,8 +282,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
-    if type(a) is not Tensor or type(b) is not Tensor:
-        _check_tensor("hadamard", a, b)
+    _check_tensor("hadamard", a, b)
     av, bv = a.values, b.values
     if av.shape != bv.shape:
         raise ShapeError(f"hadamard: shapes {av.shape} and {bv.shape} do not conform")
@@ -308,8 +297,7 @@ def square(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function as (1 + tanh(x/2)) / 2, which cannot overflow."""
-    if type(a) is not Tensor:
-        _check_tensor("sigmoid", a)
+    _check_tensor("sigmoid", a)
     out = np.tanh(a.values * 0.5)
     out += 1.0
     out *= 0.5
@@ -317,8 +305,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    if type(a) is not Tensor:
-        _check_tensor("tanh", a)
+    _check_tensor("tanh", a)
     out = np.tanh(a.values)
     return _emit(out, (a,), lambda g: (g * (1.0 - out * out),))
 
@@ -361,8 +348,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient routes to the first operand."""
-    if type(a) is not Tensor or type(b) is not Tensor:
-        _check_tensor("maximum", a, b)
+    _check_tensor("maximum", a, b)
     av, bv = a.values, b.values
     if av.shape != bv.shape:
         raise ShapeError(f"maximum: shapes {av.shape} and {bv.shape} do not conform")
@@ -457,8 +443,7 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if type(a) is not Tensor:
-        _check_tensor("transpose", a)
+    _check_tensor("transpose", a)
     if a.ndim != 2:
         raise ShapeError(f"transpose: need a matrix, got shape {a.shape}")
     out = np.ascontiguousarray(a.values.T)
@@ -489,9 +474,7 @@ def affine2(x: Tensor, w: Tensor, h: Tensor, u: Tensor, b: Tensor) -> Tensor:
     b is (k,).  The float evaluation order is (x@w + h@u) + b, identical to
     composing matmul/add/add, so fusing never changes values.
     """
-    if (type(x) is not Tensor or type(w) is not Tensor or type(h) is not Tensor
-            or type(u) is not Tensor or type(b) is not Tensor):
-        _check_tensor("affine2", x, w, h, u, b)
+    _check_tensor("affine2", x, w, h, u, b)
     xv, wv, hv, uv, bv = x.values, w.values, h.values, u.values, b.values
     if wv.ndim != 2 or uv.ndim != 2 or bv.ndim != 1:
         raise ShapeError(
@@ -524,8 +507,7 @@ def blend(z: Tensor, a: Tensor, b: Tensor) -> Tensor:
     z gradient (g * b) + (-(g * a)) adds its two terms in the order that
     composition would accumulate them, so fusing never changes values.
     """
-    if type(z) is not Tensor or type(a) is not Tensor or type(b) is not Tensor:
-        _check_tensor("blend", z, a, b)
+    _check_tensor("blend", z, a, b)
     zv, av, bv = z.values, a.values, b.values
     if zv.shape != av.shape or zv.shape != bv.shape:
         raise ShapeError(f"blend: shapes {zv.shape}, {av.shape} and {bv.shape} do not conform")

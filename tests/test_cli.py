@@ -630,16 +630,18 @@ def test_sweep_warnings_go_to_stderr(p, stdout, stderr):
 
 def test_module_not_importable_side_effect_free():
     # importing the CLI must not configure logging or touch sys.argv
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
     code = ("import logging, sys; import analogia.cli; "
             "assert not logging.getLogger().handlers; print('clean')")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "clean"
 
 
 def test_import_starts_no_thread_and_loads_no_pool():
     # the encoder imports concurrent.futures and starts its workers only
-    # when encode_many first runs chunks on threads
+    # while encode_many runs chunks on threads
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
     code = ("import sys, threading; import analogia.cli; "

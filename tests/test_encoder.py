@@ -517,6 +517,21 @@ class TestEncodeManyThreads:
         assert type(threaded) is type(sequential)
         assert str(threaded) == str(sequential) == "non-finite sentence vectors in batch"
 
+    def test_no_pool_thread_outlives_the_call(self, blas_threads, threads_used, monkeypatch):
+        """The pool lives for one encode_many call, whether it returns or
+        raises."""
+        def pool_threads():
+            return [t.name for t in threading.enumerate() if t.name.startswith("analogia-encode")]
+
+        sentences, table, params = self._case()
+        self._encode(monkeypatch, 0, sentences, table, params)
+        assert len(threads_used) == 3 and all(n.startswith("analogia-encode") for n in threads_used)
+        assert pool_threads() == []
+        sentences[2 * self.ROWS + 3] = ()
+        with pytest.raises(ValueError, match="empty sentence"):
+            self._encode(monkeypatch, 0, sentences, table, params)
+        assert pool_threads() == []
+
     def test_below_the_crossover_no_thread_starts(self, threads_used, monkeypatch):
         sentences, table, params = self._case()
         running = threading.active_count()

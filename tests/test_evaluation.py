@@ -24,6 +24,7 @@ from analogia.evaluation import (
     rankings_to_tsv,
     sweep_prototypes,
 )
+from analogia.numerics import ShapeError
 from analogia.quadgen import Prototype, select_prototypes
 from analogia.text_data import Candidate, EmbeddingTable, QADataset, Question, classify_question, tokenize
 
@@ -392,6 +393,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_prototypes(mean_embedding_encoder(table), ds, ds, [], seed=0)
 
+    def test_non_positive_p_rejected(self):
+        table, ds = self._world()
+        with pytest.raises(ValueError, match="p must be >= 1, got 0"):
+            sweep_prototypes(mean_embedding_encoder(table), ds, ds, [2, 0, 3], seed=0)
+
 
 def _counting(encode_fn):
     calls = []
@@ -480,6 +486,24 @@ class TestEncodeFirst:
         plain = evaluate(mean_embedding_encoder(table), ds, protos)
         assert result.report.to_tsv() == plain.report.to_tsv()
         assert result.rankings == plain.rankings
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one-dropped", "one-added"])
+    def test_wrong_vector_count_is_a_shape_error(self, extra):
+        """A batch encoder that returns more or fewer vectors than it was
+        given sentences is named with both counts."""
+        table, ds, protos = _toy_world()
+        fn, batches = _counting_batches(mean_embedding_encoder(table))
+        many = fn.many
+
+        def wrong_count(sentences):
+            vectors = many(sentences)
+            return vectors[:-1] if extra < 0 else np.concatenate([vectors, vectors[:1]])
+
+        fn.many = wrong_count
+        with pytest.raises(ShapeError) as info:
+            evaluate(fn, ds, protos)
+        n = len(batches[0])
+        assert str(info.value) == f"encode_fn.many returned {n + extra} vectors for {n} sentences"
 
     def test_memo_skips_encoded_sentences(self):
         table, ds, protos = _toy_world()
@@ -606,6 +630,26 @@ class TestSweepPlan:
         assert len(res.rows) == len(self.P_VALUES)
         with pytest.raises(AssertionError, match="built a RankedCandidate"):
             evaluate(mean_embedding_encoder(table), eval_ds, select_prototypes(proto_ds, 1, 0))
+
+    def test_draws_the_prototypes_once(self, monkeypatch):
+        """One select_prototypes call, at the largest p, gives the rows and
+        warnings of one single-p sweep per p."""
+        table, eval_ds, proto_ds = _sweep_world()
+        fn = mean_embedding_encoder(table)
+        per_p = [sweep_prototypes(fn, eval_ds, proto_ds, [p], seed=0) for p in self.P_VALUES]
+        calls = []
+        real = evaluation.select_prototypes
+
+        def counting(dataset, p, seed):
+            calls.append(p)
+            return real(dataset, p, seed)
+
+        monkeypatch.setattr(evaluation, "select_prototypes", counting)
+        res = self._sweep(fn, eval_ds, proto_ds)
+        assert calls == [max(self.P_VALUES)]
+        assert res.rows == tuple(row for r in per_p for row in r.rows)
+        assert res.warnings == tuple(w for r in per_p for w in r.warnings)
+        assert res.warnings  # no Where question of the prototype set is answerable
 
     def test_encode_batches_are_those_of_one_evaluate_per_p(self):
         """The first p's distinct sentences in one batch, then each later

@@ -19,6 +19,7 @@ from analogia.encoder import EncoderParams, sentence_encoder
 from analogia.evaluation import (
     ScoredQuestion,
     _scorable,
+    average_precision,
     evaluate,
     mean_average_precision,
     mean_embedding_encoder,
@@ -136,14 +137,25 @@ def _oracle_evaluate(memo, dataset, prototypes, mode):
     return scored, skipped
 
 
+def _old_mrr(label_lists):
+    total = 0.0
+    for labels in label_lists:
+        total += 1.0 / (labels.index(1) + 1)
+    return total / len(label_lists)
+
+
+def _old_map(label_lists):
+    return sum(average_precision(labels) for labels in label_lists) / len(label_lists)
+
+
 def _old_report_tsv(scored, skipped):
-    """Report rows as the per-subset mrr/mean_average_precision calls
-    computed them."""
+    """Report rows as per-subset MAP and MRR sums computed them, before
+    mrr and mean_average_precision summed through the report rows."""
     lines = ["subset\tquestions\tskipped\tMAP\tMRR"]
     for subset in WH_TYPES + ("Other", "Combined"):
         lists = [sq.labels_ranked() for sq in scored if subset in ("Combined", sq.wh_type)]
         skip = sum(skipped.values()) if subset == "Combined" else skipped.get(subset, 0)
-        values = (mean_average_precision(lists), mrr(lists)) if lists else (float("nan"),) * 2
+        values = (_old_map(lists), _old_mrr(lists)) if lists else (float("nan"),) * 2
         lines.append(f"{subset}\t{len(lists)}\t{skip}\t{values[0]!r}\t{values[1]!r}")
     return "".join(line + "\n" for line in lines)
 
@@ -177,6 +189,57 @@ def test_evaluate_matches_per_question_loop(mode, learned):
     scored, skipped = _oracle_evaluate(memo, dataset, prototypes, mode)
     assert sum(skipped.values()) == 1
     assert len({(q.wh_type, len(q.candidates)) for q in dataset.questions}) > len(WH_TYPES)
+    assert rankings_to_tsv(result.rankings) == rankings_to_tsv(scored)
+    assert result.report.to_tsv() == _old_report_tsv(scored, skipped)
+    assert result.rankings == tuple(scored)
+
+
+def test_metrics_are_the_old_sums_bit_for_bit():
+    rng = np.random.default_rng(8)
+    lists = [tuple(rng.permutation([1] * k + [0] * (n - k)).tolist())
+             for n, k in rng.integers(1, 9, size=(200, 2)) if k <= n]
+    assert (repr(mrr(lists)), repr(mean_average_precision(lists))) == (repr(_old_mrr(lists)), repr(_old_map(lists)))
+
+
+def _oracle_random_rank(dataset, prototypes, seed):
+    """random_rank's per-question loop before it ranked through
+    GroupRanking."""
+    rng = np.random.default_rng(seed)
+    scored, skipped = [], {}
+    for q in dataset.questions:
+        if not _scorable(q, prototypes):
+            skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
+            continue
+        scores = rng.random(len(q.candidates))
+        order = sorted(range(len(scores)), key=lambda i: -scores[i])
+        entries = tuple(RankedCandidate(candidate_index=i, score=float(scores[i]), rank=r + 1,
+                                        best_prototype_index=-1) for r, i in enumerate(order))
+        scored.append(ScoredQuestion(q.question_id, q.wh_type, RankedList(entries, ENERGY_MODE, 0),
+                                     tuple(c.label for c in q.candidates)))
+    return scored, skipped
+
+
+class _TiedRng:
+    """A generator whose draws cycle through 0.5, 0.25, 0.5, so that every
+    question of three or more candidates has tied scores."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, size):
+        return np.resize([0.5, 0.25, 0.5], size)
+
+
+@pytest.mark.parametrize("seed, tied", [(0, False), (1, False), (7, False), (0, True)],
+                         ids=["seed0", "seed1", "seed7", "tied"])
+def test_random_rank_matches_per_question_loop(seed, tied, monkeypatch):
+    corpus, dataset = _varied_corpus()
+    prototypes = select_prototypes(corpus.train, p=3, seed=1)
+    if tied:
+        monkeypatch.setattr(np.random, "default_rng", _TiedRng)
+    result = random_rank(dataset, prototypes, seed=seed)
+    scored, skipped = _oracle_random_rank(dataset, prototypes, seed)
+    assert sum(skipped.values()) == 1
     assert rankings_to_tsv(result.rankings) == rankings_to_tsv(scored)
     assert result.report.to_tsv() == _old_report_tsv(scored, skipped)
     assert result.rankings == tuple(scored)
