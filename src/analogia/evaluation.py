@@ -14,6 +14,8 @@ seen yet, makes one rank_group call per group, and reads the labels in
 rank order from the group's label array.  evaluate prepares and ranks
 once; sweep_prototypes draws its prototypes and prepares once, and ranks
 once per prototype count.  random_rank orders through GroupRanking too.
+Results keep these per-group arrays, and build ScoredQuestion objects only
+when their ``rankings`` are first read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,17 +38,21 @@ REPORT_HEADER = "subset\tquestions\tskipped\tMAP\tMRR"
 SWEEP_HEADER = "p\tMAP\tMRR"
 
 
+def _checked(i: int, labels: tuple) -> tuple:
+    if not labels:
+        raise ValueError(f"ranked list {i} is empty")
+    positives = labels.count(1)
+    if positives + labels.count(0) != len(labels):
+        raise ValueError(f"ranked list {i} has non-binary labels")
+    if not positives:
+        raise ValueError(f"ranked list {i} has no positive candidate; exclude it upstream")
+    return labels
+
+
 def _validated(label_lists) -> list[tuple]:
-    label_lists = [tuple(l) for l in label_lists]
+    label_lists = [_checked(i, tuple(l)) for i, l in enumerate(label_lists)]
     if not label_lists:
         raise ValueError("need at least one ranked question")
-    for i, labels in enumerate(label_lists):
-        if len(labels) == 0:
-            raise ValueError(f"ranked list {i} is empty")
-        if any(l not in (0, 1) for l in labels):
-            raise ValueError(f"ranked list {i} has non-binary labels")
-        if not any(labels):
-            raise ValueError(f"ranked list {i} has no positive candidate; exclude it upstream")
     return label_lists
 
 
@@ -116,10 +123,19 @@ class MetricsReport:
         return "".join(line + "\n" for line in lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationResult:
     report: MetricsReport
-    rankings: tuple[ScoredQuestion, ...]
+    questions: tuple  # the scorable questions, in dataset order
+    labels: tuple[tuple[int, ...], ...]  # their gold labels by candidate index
+    groups: tuple[tuple[list[int], GroupRanking], ...]  # each group's positions in questions, and its ranking
+
+    @cached_property
+    def rankings(self) -> tuple[ScoredQuestion, ...]:
+        """The ScoredQuestions, in dataset order, built on first read."""
+        lists = _in_dataset_order(len(self.questions), ((members, r.lists()) for members, r in self.groups))
+        return tuple(ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=ranking, labels=labels)
+                     for q, ranking, labels in zip(self.questions, lists, self.labels))
 
 
 def _subset_metrics(subset: str, scores: list[tuple[float, float]], skipped: int) -> SubsetMetrics:
@@ -161,13 +177,13 @@ def _scorable(question, prototypes) -> bool:
 def _split(dataset: QADataset, prototypes) -> tuple[list, list[tuple], dict[str, int]]:
     """The scorable questions in dataset order, their gold labels
     (validated), and the other questions counted per wh-type."""
-    questions, skipped = [], {}
+    questions, labels, skipped = [], [], {}
     for q in dataset.questions:
         if _scorable(q, prototypes):
+            labels.append(_checked(len(questions), tuple(c.label for c in q.candidates)))
             questions.append(q)
         else:
             skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
-    labels = _validated(tuple(c.label for c in q.candidates) for q in questions) if questions else []
     return questions, labels, skipped
 
 
@@ -195,9 +211,9 @@ class _Group(NamedTuple):
 
     wh_type: str
     members: list[int]  # their positions in _Plan.questions
-    q: np.ndarray  # (G, d) question vectors, float64
-    C: np.ndarray  # (G, n, d) candidate vectors, float64
     labels: np.ndarray  # (G, n) gold labels by candidate index
+    q: np.ndarray | None = None  # (G, d) question vectors, float64, once encoded
+    C: np.ndarray | None = None  # (G, n, d) candidate vectors, float64, once encoded
 
 
 class _Plan(NamedTuple):
@@ -207,15 +223,21 @@ class _Plan(NamedTuple):
     labels: list[tuple]  # their gold labels by candidate index
     skipped: dict[str, int]
     groups: list[_Group]
-    encode_fn: object
-    memo: dict  # token tuple -> encode_fn's vector
+    encode_fn: object = None
+    memo: dict | None = None  # token tuple -> encode_fn's vector
 
 
-def _prepare(encode_fn, dataset: QADataset, prototypes, memo: dict) -> _Plan:
-    """Filter, encode and group ``dataset`` once.  The prototypes decide
-    which wh-types are scorable, and their sentences are encoded first, in
-    the same encode_fn.many call as the questions'."""
+def _prepare(encode_fn, dataset: QADataset, prototypes, memo: dict | None) -> _Plan:
+    """Filter, group and, unless encode_fn is None, encode ``dataset`` once.
+    The prototypes decide which wh-types are scorable, and their sentences
+    are encoded first, in the same encode_fn.many call as the questions'."""
     questions, labels, skipped = _split(dataset, prototypes)
+    members: dict[tuple, list[int]] = {}
+    for i, q in enumerate(questions):
+        members.setdefault((q.wh_type, len(q.candidates)), []).append(i)
+    groups = [_Group(wh, idx, np.array([labels[i] for i in idx])) for (wh, _), idx in members.items()]
+    if encode_fn is None:
+        return _Plan(questions, labels, skipped, groups)
     sentences = list(dict.fromkeys(map(tuple, itertools.chain(
         _prototype_sentences(prototypes),
         (s for q in questions for s in (q.text, *(c.text for c in q.candidates)))))))
@@ -224,15 +246,9 @@ def _prepare(encode_fn, dataset: QADataset, prototypes, memo: dict) -> _Plan:
     if sentences and M.ndim != 2:
         raise ShapeError(f"encode_fn must return vectors, got shape {M.shape[1:]}")
     index = {s: i for i, s in enumerate(sentences)}
-    members: dict[tuple, list[int]] = {}
-    for i, q in enumerate(questions):
-        members.setdefault((q.wh_type, len(q.candidates)), []).append(i)
-    groups = []
-    for (wh, _), idx in members.items():
-        qs = [questions[i] for i in idx]
-        groups.append(_Group(wh, idx, M[[index[tuple(q.text)] for q in qs]],
-                             M[[[index[tuple(c.text)] for c in q.candidates] for q in qs]],
-                             np.array([labels[i] for i in idx])))
+    groups = [g._replace(q=M[[index[tuple(questions[i].text)] for i in g.members]],
+                         C=M[[[index[tuple(c.text)] for c in questions[i].candidates] for i in g.members]])
+              for g in groups]
     return _Plan(questions, labels, skipped, groups, encode_fn, memo)
 
 
@@ -253,19 +269,24 @@ def _rank(plan: _Plan, prototypes, mode: str) -> list[GroupRanking]:
     return [rank_group(g.q, g.C, shifts[g.wh_type], mode) for g in plan.groups]
 
 
-def _in_dataset_order(plan: _Plan, per_group) -> list:
-    """Per-group sequences, one item per member, as one list in the order
-    of plan.questions."""
-    out = [None] * len(plan.questions)
-    for g, items in zip(plan.groups, per_group):
-        for i, item in zip(g.members, items):
+def _in_dataset_order(n: int, per_group) -> list:
+    """One list of n from (members, items) pairs: items[k] goes to members[k]."""
+    out = [None] * n
+    for members, items in per_group:
+        for i, item in zip(members, items):
             out[i] = item
     return out
 
 
 def _ranked_labels(plan: _Plan, rankings: list[GroupRanking]) -> list[list[int]]:
-    return _in_dataset_order(plan, (np.take_along_axis(g.labels, r.order, 1).tolist()
-                                    for g, r in zip(plan.groups, rankings)))
+    return _in_dataset_order(len(plan.questions), ((g.members, np.take_along_axis(g.labels, r.order, 1).tolist())
+                                                   for g, r in zip(plan.groups, rankings)))
+
+
+def _result(plan: _Plan, rankings: list[GroupRanking]) -> EvaluationResult:
+    report = _build_report([q.wh_type for q in plan.questions], _ranked_labels(plan, rankings), plan.skipped)
+    return EvaluationResult(report, tuple(plan.questions), tuple(plan.labels),
+                            tuple((g.members, r) for g, r in zip(plan.groups, rankings)))
 
 
 def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype]],
@@ -287,16 +308,12 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
     rank_group call per wh-type and candidate count, which scores each
     question with the bits it gets alone.  ``memo``, a dict from token
     tuples to encode_fn's vectors, carries them across calls with the same
-    encode_fn.
+    encode_fn.  The result keeps the rankings as those calls' arrays; its
+    ``rankings`` become ScoredQuestion objects only when first read.
     """
     check_mode(mode)
     plan = _prepare(encode_fn, dataset, prototypes, {} if memo is None else memo)
-    rankings = _rank(plan, prototypes, mode)
-    lists = _in_dataset_order(plan, (r.lists() for r in rankings))
-    evaluated = tuple(ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=ranking, labels=labels)
-                      for q, ranking, labels in zip(plan.questions, lists, plan.labels))
-    report = _build_report([q.wh_type for q in plan.questions], _ranked_labels(plan, rankings), plan.skipped)
-    return EvaluationResult(report=report, rankings=evaluated)
+    return _result(plan, _rank(plan, prototypes, mode))
 
 
 def mean_embedding_encoder(table: EmbeddingTable):
@@ -319,20 +336,15 @@ def random_rank(dataset: QADataset, prototypes: dict[str, list[Prototype]],
                 seed: int = 0) -> EvaluationResult:
     """Seeded random scores over the same skip rules; a sanity floor.
 
-    best_prototype_index is -1 on every entry since no prototype takes part.
+    Scores are drawn per question, in dataset order.  best_prototype_index
+    is -1 on every entry since no prototype takes part.
     """
     rng = np.random.default_rng(seed)
-
-    def rank(q):
-        scores = rng.random((1, len(q.candidates)))
-        return GroupRanking(scores, np.full(scores.shape, -1), np.argsort(-scores, axis=-1, kind="stable"),
-                            np.zeros(1, dtype=np.int64), ENERGY_MODE).lists()[0]
-
-    questions, labels, skipped = _split(dataset, prototypes)
-    evaluated = tuple(ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=rank(q), labels=l)
-                      for q, l in zip(questions, labels))
-    report = _build_report([q.wh_type for q in questions], [sq.labels_ranked() for sq in evaluated], skipped)
-    return EvaluationResult(report=report, rankings=evaluated)
+    plan = _prepare(None, dataset, prototypes, None)
+    draws = [rng.random((1, len(q.candidates))) for q in plan.questions]
+    scores = [np.concatenate([draws[i] for i in g.members]) for g in plan.groups]
+    return _result(plan, [GroupRanking(s, np.full(s.shape, -1), np.argsort(-s, axis=-1, kind="stable"),
+                                       np.zeros(len(s), dtype=np.int64), ENERGY_MODE) for s in scores])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .encoder import EncoderParams, Layout, derive_seed, encode_batch, layout
 from .fsio import atomic_write_bytes, atomic_write_text
 from .numerics import GradTape, Tensor
 from .quadgen import Prototype, generate_training_quadruples
-from .text_data import ConfigError, EmbeddingTable, ParseError, QADataset, read_lines, require_finite
+from .text_data import WH_TYPES, ConfigError, EmbeddingTable, ParseError, QADataset, read_lines, require_finite
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -309,6 +309,10 @@ def load_checkpoint(directory):
         if len(cols) != 3:
             raise ParseError(f"{protos_path}: line {lineno}: expected 3 columns")
         wh, q, a = cols
-        prototypes.setdefault(wh, []).append(
-            Prototype(question=tuple(q.split()), answer=tuple(a.split()), wh_type=wh))
+        if wh not in WH_TYPES:
+            raise ParseError(f"{protos_path}: line {lineno}: wh-type {wh!r} is not one of {WH_TYPES}")
+        question, answer = tuple(q.split()), tuple(a.split())
+        if not question or not answer:
+            raise ParseError(f"{protos_path}: line {lineno}: prototype question or answer has no tokens")
+        prototypes.setdefault(wh, []).append(Prototype(question=question, answer=answer, wh_type=wh))
     return params, config, prototypes

@@ -273,6 +273,27 @@ class TestDataErrors:
         assert rc == 2
         assert f"{target}: line 2: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cols: [cols[0], "", cols[2]], "prototype question or answer has no tokens"),
+        (lambda cols: [cols[0], "   ", cols[2]], "prototype question or answer has no tokens"),
+        (lambda cols: [cols[0], cols[1], ""], "prototype question or answer has no tokens"),
+        (lambda cols: ["Whenx", cols[1], cols[2]], "wh-type 'Whenx' is not one of"),
+        (lambda cols: ["Other", cols[1], cols[2]], "wh-type 'Other' is not one of"),
+    ], ids=["empty-question", "blank-question", "empty-answer", "unknown-wh-type", "other-wh-type"])
+    def test_bad_prototype_line_names_file_and_line(self, capsys, tmp_path, edit, message):
+        """A prototype that could never be ranked: status 2, naming
+        prototypes.tsv and the line, on the quick-start checkpoint."""
+        broken = tmp_path / "ckpt"
+        shutil.copytree(FIXTURES / "quickstart_checkpoint", broken)
+        target = broken / "prototypes.tsv"
+        lines = target.read_text().split("\n")
+        lines[1] = "\t".join(edit(lines[1].split("\t")))
+        target.write_text("\n".join(lines))
+        rc, out, err = _run(capsys, ["eval", "--checkpoint", str(broken), "--data", str(REPO / "data" / "toy_qa.tsv"),
+                                     "--embeddings", str(REPO / "data" / "toy_vectors.vec")])
+        assert (rc, out) == (2, "")
+        assert f"{target}: line 2: {message}" in err
+
     def test_bad_env_seed(self, capsys, corpus_dir, monkeypatch):
         monkeypatch.setenv("ANALOGIA_SEED", "not-a-number")
         rc, _, err = _run(capsys, ["gen-quadruples", "--data", str(corpus_dir / "train.tsv")])
@@ -594,19 +615,17 @@ def test_console_script_installed():
 
 
 @pytest.mark.parametrize("module", ["analogia", "analogia.cli"])
-def test_python_dash_m_runs_the_cli(module, checkpoint, corpus_dir, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+def test_python_dash_m_runs_the_cli(module, checkpoint, corpus_dir, tmp_path, src_env):
     broken = tmp_path / "broken"
     shutil.copytree(checkpoint, broken)
     os.remove(broken / "weights.bin")
     cmd = [sys.executable, "-m", module]
-    proc = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=src_env, timeout=60)
     assert proc.returncode == 0
     assert "analogy-based answer ranking" in proc.stdout
     proc = subprocess.run(cmd + ["eval", "--checkpoint", str(broken), "--data", str(corpus_dir / "heldout.tsv"),
                                  "--embeddings", str(corpus_dir / "vectors.vec")],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env, timeout=60)
     assert proc.returncode == 2
     assert "weights.bin" in proc.stderr
 
@@ -616,36 +635,30 @@ def test_python_dash_m_runs_the_cli(module, checkpoint, corpus_dir, tmp_path):
      "".join(f"p=50: only 3 answerable {wh} questions available\n" for wh in ("Who", "When", "Where"))),
     ("1,2", (FIXTURES / "quickstart_sweep.tsv").read_text(), ""),
 ], ids=["pool-too-small", "committed"])
-def test_sweep_warnings_go_to_stderr(p, stdout, stderr):
+def test_sweep_warnings_go_to_stderr(p, stdout, stderr, src_env):
     # a fresh process, so that the CLI's own logging setup is the one in use
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "analogia", "sweep-prototypes",
                            "--checkpoint", str(FIXTURES / "quickstart_checkpoint"),
                            "--data", str(REPO / "data" / "toy_qa.tsv"),
                            "--embeddings", str(REPO / "data" / "toy_vectors.vec"), "--p", p],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, stderr)
 
 
-def test_module_not_importable_side_effect_free():
+def test_module_not_importable_side_effect_free(src_env):
     # importing the CLI must not configure logging or touch sys.argv
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
     code = ("import logging, sys; import analogia.cli; "
             "assert not logging.getLogger().handlers; print('clean')")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "clean"
 
 
-def test_import_starts_no_thread_and_loads_no_pool():
+def test_import_starts_no_thread_and_loads_no_pool(src_env):
     # the encoder imports concurrent.futures and starts its workers only
     # while encode_many runs chunks on threads
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
     code = ("import sys, threading; import analogia.cli; "
             "print('concurrent.futures' in sys.modules, threading.active_count())")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "1"]

@@ -4,7 +4,6 @@ Demo 04 is left out: it trains for several seconds, and the acceptance
 tests already cover its training path.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +16,9 @@ DEMOS = ("01_analogy_geometry.py", "02_autodiff_tape.py", "03_encode_and_rank.py
 
 
 @pytest.mark.parametrize("name", DEMOS)
-def test_demo_runs(name, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
-    env["TMPDIR"] = str(tmp_path)  # demo 05's scratch directory goes there
-    proc = subprocess.run([sys.executable, str(REPO / "demos" / name)], cwd=tmp_path, env=env,
+def test_demo_runs(name, tmp_path, src_env):
+    src_env["TMPDIR"] = str(tmp_path)  # demo 05's scratch directory goes there
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / name)], cwd=tmp_path, env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert not list(tmp_path.glob("analogia-demo-*"))  # demo 05 removes its scratch directory

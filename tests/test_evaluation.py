@@ -628,8 +628,28 @@ class TestSweepPlan:
         monkeypatch.setattr(analogy_core, "RankedCandidate", refuse)
         res = self._sweep(mean_embedding_encoder(table), eval_ds, proto_ds)
         assert len(res.rows) == len(self.P_VALUES)
+        # the positive control: reading an evaluation's rankings builds them
         with pytest.raises(AssertionError, match="built a RankedCandidate"):
-            evaluate(mean_embedding_encoder(table), eval_ds, select_prototypes(proto_ds, 1, 0))
+            evaluate(mean_embedding_encoder(table), eval_ds, select_prototypes(proto_ds, 1, 0)).rankings
+
+    @pytest.mark.parametrize("method", ["evaluate", "random"])
+    def test_report_builds_no_ranking_objects(self, method, monkeypatch):
+        """An evaluation's report comes from the group arrays alone; the
+        per-question objects are built only when rankings is read."""
+        table, eval_ds, proto_ds = _sweep_world()
+        protos = select_prototypes(proto_ds, 1, 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a ranking object")
+
+        for owner, name in ((analogy_core, "RankedCandidate"), (analogy_core, "RankedList"),
+                            (evaluation, "RankedList"), (evaluation, "ScoredQuestion")):
+            monkeypatch.setattr(owner, name, refuse)
+        result = (evaluate(mean_embedding_encoder(table), eval_ds, protos) if method == "evaluate"
+                  else random_rank(eval_ds, protos, seed=0))
+        assert result.report.row("Combined").questions > 0
+        with pytest.raises(AssertionError, match="built a ranking object"):
+            result.rankings
 
     def test_draws_the_prototypes_once(self, monkeypatch):
         """One select_prototypes call, at the largest p, gives the rows and

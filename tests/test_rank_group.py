@@ -245,6 +245,31 @@ def test_random_rank_matches_per_question_loop(seed, tied, monkeypatch):
     assert result.rankings == tuple(scored)
 
 
+@pytest.mark.parametrize("method", [*RANK_MODES, "random-0", "random-1", "random-7"])
+def test_lazy_rankings_equal_the_eager_ones(method):
+    """rankings is built on first read, then kept; it equals the rankings
+    that evaluate and random_rank built eagerly, one per question in
+    dataset order, as the per-question loops build them."""
+    corpus, dataset = _varied_corpus()
+    prototypes = select_prototypes(corpus.train, p=3, seed=1)
+    if method in RANK_MODES:
+        memo = {}
+        result = evaluate(sentence_encoder(corpus.table, EncoderParams.initialize(8, 6, seed=2)), dataset,
+                          prototypes, mode=method, memo=memo)
+        eager, _ = _oracle_evaluate(memo, dataset, prototypes, method)
+    else:
+        seed = int(method.split("-")[1])
+        result = random_rank(dataset, prototypes, seed=seed)
+        eager, _ = _oracle_random_rank(dataset, prototypes, seed)
+    eager = tuple(eager)
+    assert "rankings" not in vars(result)
+    rankings = result.rankings
+    assert rankings == eager
+    assert rankings_to_tsv(rankings) == rankings_to_tsv(eager)
+    assert [sq.question_id for sq in rankings] == [q.question_id for q in result.questions]
+    assert result.rankings is rankings
+
+
 def test_evaluate_rejects_encodings_that_are_not_vectors():
     corpus, dataset = _varied_corpus()
     prototypes = select_prototypes(corpus.train, p=2, seed=1)
