@@ -26,7 +26,7 @@ from .analogy_core import (
     energy,
     rank_candidates,
 )
-from .encoder import EncoderParams, derive_seed, encode, encode_batch, encode_many, sentence_encoder
+from .encoder import EncoderParams, encode, encode_batch, encode_many, sentence_encoder
 from .evaluation import (
     baseline_rank,
     evaluate,
@@ -52,6 +52,7 @@ from .text_data import (
     QADataset,
     Question,
     classify_question,
+    derive_seed,
     load_embeddings,
     load_qa_dataset,
     tokenize,

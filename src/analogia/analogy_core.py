@@ -160,6 +160,12 @@ class GroupRanking(NamedTuple):
     degenerate: np.ndarray  # (G,) (candidate, prototype) pairs scored the neutral 0
     mode: str
 
+    @classmethod
+    def of(cls, scores, best, degenerate, mode: str) -> "GroupRanking":
+        """Each row of scores ranked best first, ties in candidate order."""
+        order = np.argsort(-scores if mode == ENERGY_MODE else scores, axis=-1, kind="stable")
+        return cls(scores, best, order, degenerate, mode)
+
     def lists(self) -> list[RankedList]:
         """Each question's RankedList, in group order."""
         rows = zip(self.scores.tolist(), self.best.tolist(), self.order.tolist(), self.degenerate.tolist())
@@ -195,8 +201,7 @@ def rank_group(q, C, P, mode: str = ENERGY_MODE) -> GroupRanking:
     else:
         V = np.linalg.norm(P - shifts[..., None, :], axis=-1)
         scores, best, degenerate = V.min(axis=-1), V.argmin(axis=-1), np.zeros(len(q), dtype=np.int64)
-    order = np.argsort(-scores if mode == ENERGY_MODE else scores, axis=-1, kind="stable")
-    return GroupRanking(scores, best, order, degenerate, mode)
+    return GroupRanking.of(scores, best, degenerate, mode)
 
 
 def rank_candidates(question_vec, candidate_vecs, prototype_vecs,

@@ -20,11 +20,11 @@ import numpy as np
 
 from .analogy_core import ENERGY_MODE, HyperParams, LOSS_VARIANTS, RANK_MODES
 from .diagnostics import F32_TOLERANCE, F64_TOLERANCE, full_pipeline_gradient_errors
-from .encoder import derive_seed, sentence_encoder
+from .encoder import sentence_encoder
 from .evaluation import baseline_rank, evaluate, random_rank, rankings_to_tsv, sweep_prototypes
 from .fsio import atomic_write_text
 from .quadgen import generate_training_quadruples, quadruples_to_tsv, select_prototypes
-from .text_data import WH_TYPES, ConfigError, load_embeddings, load_qa_dataset, read_lines
+from .text_data import WH_TYPES, ConfigError, derive_seed, load_embeddings, load_qa_dataset, read_lines
 from .training import (
     TrainConfig,
     TrainingError,
@@ -82,7 +82,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat key-value text: `key value` or `key = value`, # comments."""
+    """Flat key-value text: `key value` or `key = value`, # comments.  A key
+    must name an option of some command, so one file can serve several."""
     values: dict[str, str] = {}
     for lineno, line in read_lines(path):
         line = line.strip()
@@ -98,6 +99,8 @@ def read_config_file(path) -> dict[str, str]:
         key = key.strip().lower().replace("-", "_")
         if not key:
             raise ConfigError(f"{path}: line {lineno}: empty key")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -212,6 +215,9 @@ _OPTIONS = {
                         _Opt("precision", str, "both", "which working precisions to check",
                              choices=("f32", "f64", "both")), _SEED],
 }
+
+_CONFIG_KEYS = frozenset(opt.dest for options in _OPTIONS.values() for opt in options + _COMMON)
+
 
 def _join_negative_values(argv) -> list[str]:
     """argv with a negative number after a value flag, or after an

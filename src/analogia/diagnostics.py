@@ -24,9 +24,9 @@ from dataclasses import replace
 import numpy as np
 
 from .analogy_core import EncodedBatch, HyperParams, batch_loss, batch_loss_forward
-from .encoder import EncoderParams, Layout, bigru_forward, derive_seed, encode_batch, pack_batch
+from .encoder import EncoderParams, Layout, bigru_forward, encode_batch, pack_batch
 from .numerics import finite_difference_check
-from .text_data import EmbeddingTable
+from .text_data import EmbeddingTable, derive_seed
 
 F32_TOLERANCE = 1e-4
 F64_TOLERANCE = 1e-7

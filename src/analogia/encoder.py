@@ -64,7 +64,6 @@ handle a single vector.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 import math
 import threading
@@ -300,6 +299,14 @@ def _max_pool_grads(packed: PackedBatch, states: np.ndarray, best: np.ndarray, g
     return d_states
 
 
+def _directions(weights, T: int):
+    """(weights, step order, state columns) of the forward direction, the
+    first nine arrays over steps 0..T-1, then of the backward one."""
+    h = weights[2].shape[-1]
+    return ((weights[:9], range(T), slice(None, h)),
+            (weights[9:], range(T - 1, -1, -1), slice(h, None)))
+
+
 def bigru_forward(packed: PackedBatch, weights):
     """The BiGRU recurrence and max pooling as plain numpy, at P parameter
     points at once.
@@ -315,13 +322,11 @@ def bigru_forward(packed: PackedBatch, weights):
         each a pair of blocks: (P, N, 2h) holding z | r and (P, N, h)
         holding h~.
     """
-    T = len(packed.sizes)
-    fwd, fwd_gates = _gru_scan(packed, weights[:9], range(T))
-    bwd, bwd_gates = _gru_scan(packed, weights[9:], range(T - 1, -1, -1))
-    states = np.concatenate([fwd, bwd], axis=-1)
+    scans = [_gru_scan(packed, w, order) for w, order, _ in _directions(weights, len(packed.sizes))]
+    states = np.concatenate([s for s, _ in scans], axis=-1)
     pooled = np.empty((len(states), len(packed.order), states.shape[-1]), dtype=states.dtype)
     pooled[:, packed.order] = _max_pool(packed, states)
-    return states, pooled, (fwd_gates, bwd_gates)
+    return states, pooled, tuple(gates for _, gates in scans)
 
 
 def _gru_scan_grads(packed: PackedBatch, w, order,
@@ -373,15 +378,13 @@ def bigru(packed: PackedBatch, params: EncoderParams) -> Tensor:
     the word vectors get no gradient."""
     states, pooled, gates = bigru_forward(packed, params.point_arrays)
     states, pooled = states[0], pooled[0]
-    fwd_gates, bwd_gates = ([block[0] for block in direction] for direction in gates)
-    T, h, weights = len(packed.sizes), params.hidden, params.arrays
+    gates = [[block[0] for block in direction] for direction in gates]
 
     def back(g):
         d_states = _max_pool_grads(packed, states, pooled[packed.order], g)
-        grads = (_gru_scan_grads(packed, weights[:9], range(T),
-                                 states[:, :h], fwd_gates, d_states[:, :h])
-                 + _gru_scan_grads(packed, weights[9:], range(T - 1, -1, -1),
-                                   states[:, h:], bwd_gates, d_states[:, h:]))
+        grads = []
+        for (w, order, cols), direction_gates in zip(_directions(params.arrays, len(packed.sizes)), gates):
+            grads += _gru_scan_grads(packed, w, order, states[:, cols], direction_gates, d_states[:, cols])
         return (np.concatenate([d.ravel() for d in grads]),)
 
     return nx._emit(pooled, (params.flat,), back)
@@ -489,16 +492,6 @@ def _on_pool(fn, args, set_threads, get_threads) -> list:
     finally:
         pool.shutdown(cancel_futures=True)
         set_threads(before)
-
-
-def derive_seed(base: int, *parts) -> int:
-    """Stable sub-seed from a base seed and context labels."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(base).encode())
-    for p in parts:
-        h.update(b"\x00")
-        h.update(str(p).encode())
-    return int.from_bytes(h.digest(), "little")
 
 
 def sentence_encoder(table: EmbeddingTable, params: EncoderParams):

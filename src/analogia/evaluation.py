@@ -8,7 +8,7 @@ per subset, so all methods report over an identical question set.
 Ranking a question set runs in two parts.  A plan is prepared once: the
 scorable filter and the skipped counts, one encoding of the distinct
 sentences, and for each (wh-type, candidate count) group its question
-vectors, candidate vectors and gold labels as float64 arrays.  Ranking the
+and candidate vectors as float64 arrays and its gold labels.  Ranking the
 plan against one prototype set then encodes only prototype sentences not
 seen yet, makes one rank_group call per group, and reads the labels in
 rank order from the group's label array.  evaluate prepares and ranks
@@ -30,30 +30,31 @@ import numpy as np
 
 from .analogy_core import ENERGY_MODE, GroupRanking, RankedList, ShapeError, check_mode, rank_group
 from .analogy_core import rank_candidates  # noqa: F401  perfbench/spans.py wraps evaluation.rank_candidates
-from .quadgen import Prototype, select_prototypes
-from .text_data import OTHER, WH_TYPES, EmbeddingTable, QADataset
+from .quadgen import Prototype, gold_answer, select_prototypes
+from .text_data import OTHER, WH_TYPES, EmbeddingTable, QADataset, join_lines
 
 REPORT_SUBSETS = WH_TYPES + (OTHER, "Combined")
 REPORT_HEADER = "subset\tquestions\tskipped\tMAP\tMRR"
 SWEEP_HEADER = "p\tMAP\tMRR"
 
 
-def _checked(i: int, labels: tuple) -> tuple:
-    if not labels:
-        raise ValueError(f"ranked list {i} is empty")
-    positives = labels.count(1)
-    if positives + labels.count(0) != len(labels):
+def _binary(i: int, labels: tuple) -> tuple:
+    if labels.count(1) + labels.count(0) != len(labels):
         raise ValueError(f"ranked list {i} has non-binary labels")
-    if not positives:
-        raise ValueError(f"ranked list {i} has no positive candidate; exclude it upstream")
     return labels
 
 
 def _validated(label_lists) -> list[tuple]:
-    label_lists = [_checked(i, tuple(l)) for i, l in enumerate(label_lists)]
-    if not label_lists:
+    out = []
+    for i, labels in enumerate(map(tuple, label_lists)):
+        if not labels:
+            raise ValueError(f"ranked list {i} is empty")
+        if 1 not in _binary(i, labels):
+            raise ValueError(f"ranked list {i} has no positive candidate; exclude it upstream")
+        out.append(labels)
+    if not out:
         raise ValueError("need at least one ranked question")
-    return label_lists
+    return out
 
 
 def mrr(label_lists) -> float:
@@ -117,25 +118,22 @@ class MetricsReport:
         raise KeyError(subset)
 
     def to_tsv(self) -> str:
-        lines = [REPORT_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.subset}\t{r.questions}\t{r.skipped}\t{r.map!r}\t{r.mrr!r}")
-        return "".join(line + "\n" for line in lines)
+        return join_lines([REPORT_HEADER, *(f"{r.subset}\t{r.questions}\t{r.skipped}\t{r.map!r}\t{r.mrr!r}"
+                                            for r in self.rows)])
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationResult:
     report: MetricsReport
     questions: tuple  # the scorable questions, in dataset order
-    labels: tuple[tuple[int, ...], ...]  # their gold labels by candidate index
     groups: tuple[tuple[list[int], GroupRanking], ...]  # each group's positions in questions, and its ranking
 
     @cached_property
     def rankings(self) -> tuple[ScoredQuestion, ...]:
         """The ScoredQuestions, in dataset order, built on first read."""
         lists = _in_dataset_order(len(self.questions), ((members, r.lists()) for members, r in self.groups))
-        return tuple(ScoredQuestion(question_id=q.question_id, wh_type=q.wh_type, ranking=ranking, labels=labels)
-                     for q, ranking, labels in zip(self.questions, lists, self.labels))
+        return tuple(ScoredQuestion(q.question_id, q.wh_type, ranking, tuple(c.label for c in q.candidates))
+                     for q, ranking in zip(self.questions, lists))
 
 
 def _subset_metrics(subset: str, scores: list[tuple[float, float]], skipped: int) -> SubsetMetrics:
@@ -169,22 +167,8 @@ def _build_report(wh_types: list[str], label_lists: list, skipped: dict[str, int
 
 
 def _scorable(question, prototypes) -> bool:
-    return (any(c.label == 1 for c in question.candidates)
-            and question.wh_type != OTHER and bool(prototypes.get(question.wh_type))
-            and len(question.text) > 0 and all(len(c.text) > 0 for c in question.candidates))
-
-
-def _split(dataset: QADataset, prototypes) -> tuple[list, list[tuple], dict[str, int]]:
-    """The scorable questions in dataset order, their gold labels
-    (validated), and the other questions counted per wh-type."""
-    questions, labels, skipped = [], [], {}
-    for q in dataset.questions:
-        if _scorable(q, prototypes):
-            labels.append(_checked(len(questions), tuple(c.label for c in q.candidates)))
-            questions.append(q)
-        else:
-            skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
-    return questions, labels, skipped
+    return (question.wh_type != OTHER and bool(prototypes.get(question.wh_type)) and len(question.text) > 0
+            and gold_answer(question) is not None and all(c.text for c in question.candidates))
 
 
 def _encode_all(encode_fn, sentences, memo: dict) -> None:
@@ -220,27 +204,34 @@ class _Plan(NamedTuple):
     """What ranking a question set needs that no prototype set changes."""
 
     questions: list  # the scorable questions, in dataset order
-    labels: list[tuple]  # their gold labels by candidate index
     skipped: dict[str, int]
     groups: list[_Group]
     encode_fn: object = None
     memo: dict | None = None  # token tuple -> encode_fn's vector
 
 
-def _prepare(encode_fn, dataset: QADataset, prototypes, memo: dict | None) -> _Plan:
-    """Filter, group and, unless encode_fn is None, encode ``dataset`` once.
-    The prototypes decide which wh-types are scorable, and their sentences
-    are encoded first, in the same encode_fn.many call as the questions'."""
-    questions, labels, skipped = _split(dataset, prototypes)
-    members: dict[tuple, list[int]] = {}
-    for i, q in enumerate(questions):
-        members.setdefault((q.wh_type, len(q.candidates)), []).append(i)
-    groups = [_Group(wh, idx, np.array([labels[i] for i in idx])) for (wh, _), idx in members.items()]
+def _prepare(encode_fn, dataset: QADataset, prototypes) -> _Plan:
+    """Filter, group and, unless encode_fn is None, encode ``dataset`` once:
+    the scorable questions in dataset order, the others counted per
+    wh-type, and each group's gold labels, checked binary.  The prototypes
+    decide which wh-types are scorable, and their sentences are encoded
+    first, in the same encode_fn.many call as the questions'."""
+    questions, skipped, members = [], {}, {}
+    for q in dataset.questions:
+        if not _scorable(q, prototypes):
+            skipped[q.wh_type] = skipped.get(q.wh_type, 0) + 1
+            continue
+        idx, labels = members.setdefault((q.wh_type, len(q.candidates)), ([], []))
+        labels.append(_binary(len(questions), tuple(c.label for c in q.candidates)))
+        idx.append(len(questions))
+        questions.append(q)
+    groups = [_Group(wh, idx, np.array(labels)) for (wh, _), (idx, labels) in members.items()]
     if encode_fn is None:
-        return _Plan(questions, labels, skipped, groups)
+        return _Plan(questions, skipped, groups)
     sentences = list(dict.fromkeys(map(tuple, itertools.chain(
         _prototype_sentences(prototypes),
         (s for q in questions for s in (q.text, *(c.text for c in q.candidates)))))))
+    memo = {}
     _encode_all(encode_fn, sentences, memo)
     M = np.array([memo[s] for s in sentences], dtype=np.float64)
     if sentences and M.ndim != 2:
@@ -249,7 +240,7 @@ def _prepare(encode_fn, dataset: QADataset, prototypes, memo: dict | None) -> _P
     groups = [g._replace(q=M[[index[tuple(questions[i].text)] for i in g.members]],
                          C=M[[[index[tuple(c.text)] for c in questions[i].candidates] for i in g.members]])
               for g in groups]
-    return _Plan(questions, labels, skipped, groups, encode_fn, memo)
+    return _Plan(questions, skipped, groups, encode_fn, memo)
 
 
 def _rank(plan: _Plan, prototypes, mode: str) -> list[GroupRanking]:
@@ -285,12 +276,12 @@ def _ranked_labels(plan: _Plan, rankings: list[GroupRanking]) -> list[list[int]]
 
 def _result(plan: _Plan, rankings: list[GroupRanking]) -> EvaluationResult:
     report = _build_report([q.wh_type for q in plan.questions], _ranked_labels(plan, rankings), plan.skipped)
-    return EvaluationResult(report, tuple(plan.questions), tuple(plan.labels),
-                            tuple((g.members, r) for g, r in zip(plan.groups, rankings)))
+    groups = tuple((g.members, r) for g, r in zip(plan.groups, rankings))
+    return EvaluationResult(report, tuple(plan.questions), groups)
 
 
 def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype]],
-             mode: str = ENERGY_MODE, memo: dict | None = None) -> EvaluationResult:
+             mode: str = ENERGY_MODE) -> EvaluationResult:
     """Rank every scorable question's candidates against its same-type
     prototypes and aggregate MRR/MAP per subset.
 
@@ -300,19 +291,17 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
 
     Encoding comes first, then ranking.  The distinct sentences of every
     prototype and of every scorable question and its candidates are
-    collected in first-seen order, and those not already in ``memo`` are
-    encoded in one call of ``encode_fn.many`` (a list of token tuples to
-    their vectors, in order) when encode_fn has that attribute, as
-    encoder.sentence_encoder does, or else by one encode_fn call each.
-    Ranking then stacks those vectors as float64 rows and makes one
-    rank_group call per wh-type and candidate count, which scores each
-    question with the bits it gets alone.  ``memo``, a dict from token
-    tuples to encode_fn's vectors, carries them across calls with the same
-    encode_fn.  The result keeps the rankings as those calls' arrays; its
-    ``rankings`` become ScoredQuestion objects only when first read.
+    collected in first-seen order and encoded in one call of
+    ``encode_fn.many`` (a list of token tuples to their vectors, in order)
+    when encode_fn has that attribute, as encoder.sentence_encoder does, or
+    else by one encode_fn call each.  Ranking then stacks those vectors as
+    float64 rows and makes one rank_group call per wh-type and candidate
+    count, which scores each question with the bits it gets alone.  The
+    result keeps the rankings as those calls' arrays; its ``rankings``
+    become ScoredQuestion objects only when first read.
     """
     check_mode(mode)
-    plan = _prepare(encode_fn, dataset, prototypes, {} if memo is None else memo)
+    plan = _prepare(encode_fn, dataset, prototypes)
     return _result(plan, _rank(plan, prototypes, mode))
 
 
@@ -340,11 +329,11 @@ def random_rank(dataset: QADataset, prototypes: dict[str, list[Prototype]],
     is -1 on every entry since no prototype takes part.
     """
     rng = np.random.default_rng(seed)
-    plan = _prepare(None, dataset, prototypes, None)
+    plan = _prepare(None, dataset, prototypes)
     draws = [rng.random((1, len(q.candidates))) for q in plan.questions]
     scores = [np.concatenate([draws[i] for i in g.members]) for g in plan.groups]
-    return _result(plan, [GroupRanking(s, np.full(s.shape, -1), np.argsort(-s, axis=-1, kind="stable"),
-                                       np.zeros(len(s), dtype=np.int64), ENERGY_MODE) for s in scores])
+    return _result(plan, [GroupRanking.of(s, np.full(s.shape, -1), np.zeros(len(s), dtype=np.int64), ENERGY_MODE)
+                          for s in scores])
 
 
 @dataclass(frozen=True)
@@ -360,10 +349,7 @@ class SweepResult:
     warnings: tuple[str, ...]
 
     def to_tsv(self) -> str:
-        lines = [SWEEP_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.p}\t{r.map!r}\t{r.mrr!r}")
-        return "".join(line + "\n" for line in lines)
+        return join_lines([SWEEP_HEADER, *(f"{r.p}\t{r.map!r}\t{r.mrr!r}" for r in self.rows)])
 
 
 def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADataset,
@@ -390,7 +376,7 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
     # The scorable set does not depend on p: a wh-type gets at least one
     # prototype either at every p >= 1 (it has an answerable question in
     # proto_dataset) or at none, so the first count's prototypes decide it.
-    plan = _prepare(encode_fn, eval_dataset, draws[0], {})
+    plan = _prepare(encode_fn, eval_dataset, draws[0])
     rows = []
     warnings = []
     for p, prototypes in zip(p_values, draws):
@@ -406,8 +392,6 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
 
 def rankings_to_tsv(rankings) -> str:
     """CLI `rank` payload: one row per (question, candidate)."""
-    lines = ["question_id\tcandidate_index\tscore\trank\tbest_prototype_index"]
-    for sq in rankings:
-        for e in sq.ranking.entries:
-            lines.append(f"{sq.question_id}\t{e.candidate_index}\t{e.score!r}\t{e.rank}\t{e.best_prototype_index}")
-    return "".join(line + "\n" for line in lines)
+    return join_lines(["question_id\tcandidate_index\tscore\trank\tbest_prototype_index",
+                       *(f"{sq.question_id}\t{e.candidate_index}\t{e.score!r}\t{e.rank}\t{e.best_prototype_index}"
+                         for sq in rankings for e in sq.ranking.entries)])

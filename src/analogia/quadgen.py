@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .text_data import WH_TYPES, Candidate, QADataset, Question
+from .text_data import WH_TYPES, Candidate, QADataset, Question, join_lines
 
 
 @dataclass(frozen=True)
@@ -43,27 +43,31 @@ class Quadruple:
             raise ValueError(f"y must be 0, 1 or None, got {self.y!r}")
 
 
+def gold_answer(question: Question) -> tuple[str, ...] | None:
+    """The text of the question's first label-1 candidate, or None: only a
+    question with one is answerable, drawn as a prototype or ranked."""
+    for c in question.candidates:
+        if c.label == 1:
+            return c.text
+    return None
+
+
 def select_prototypes(dataset: QADataset, p: int, seed: int) -> dict[str, list[Prototype]]:
     """Up to p prototypes per wh-type, drawn by seeded shuffle.
 
-    Only questions with at least one correct candidate qualify; each
-    contributes at most one prototype, using its first label-1 candidate as
-    the answer.  A type with no answerable questions yields an empty list
-    (the caller decides whether that warrants a warning).
+    Only answerable questions qualify; each contributes at most one
+    prototype, its gold_answer as the answer.  A type with no answerable
+    questions yields an empty list (the caller decides whether that
+    warrants a warning).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     rng = np.random.default_rng(seed)
     out: dict[str, list[Prototype]] = {}
     for wh in WH_TYPES:
-        answerable = [q for q in dataset.by_type(wh) if any(c.label == 1 for c in q.candidates)]
-        order = rng.permutation(len(answerable))
-        chosen = [answerable[i] for i in order[:p]]
-        protos = []
-        for q in chosen:
-            answer = next(c.text for c in q.candidates if c.label == 1)
-            protos.append(Prototype(question=q.text, answer=answer, wh_type=wh))
-        out[wh] = protos
+        pairs = [(q.text, answer) for q in dataset.by_type(wh) if (answer := gold_answer(q)) is not None]
+        order = rng.permutation(len(pairs))
+        out[wh] = [Prototype(*pairs[i], wh_type=wh) for i in order[:p]]
     return out
 
 
@@ -132,4 +136,4 @@ def quadruples_to_tsv(quads) -> str:
             raise ValueError("cannot serialize unlabeled quadruples")
         lines.append("\t".join((q.wh_type, " ".join(q.a), " ".join(q.b),
                                 " ".join(q.c), " ".join(q.d), str(q.y))))
-    return "".join(line + "\n" for line in lines)
+    return join_lines(lines)

@@ -36,6 +36,16 @@ def require_finite(**settings) -> None:
             raise ConfigError(f"{name} must be a finite number, got {value}")
 
 
+def derive_seed(base: int, *parts) -> int:
+    """Stable sub-seed from a base seed and context labels."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(base).encode())
+    for p in parts:
+        h.update(b"\x00")
+        h.update(str(p).encode())
+    return int.from_bytes(h.digest(), "little")
+
+
 def read_lines(path):
     """(line number from 1, text) of each line of a UTF-8 text file, the
     line ending stripped.  Bytes that are not UTF-8 raise ParseError naming
@@ -47,6 +57,12 @@ def read_lines(path):
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from None
             yield lineno, line.rstrip("\r\n")
+
+
+def join_lines(lines) -> str:
+    """The text of ``lines``, each ended by a newline, as read_lines reads
+    it back."""
+    return "".join(line + "\n" for line in lines)
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
@@ -101,10 +117,10 @@ class QADataset:
 class EmbeddingTable:
     """Token -> vector map with deterministic out-of-vocabulary fallback.
 
-    Unknown tokens hash (oov_seed, token bytes) into a generator seed and
-    draw a uniform [-0.1, 0.1] vector, so repeated lookups agree across
-    processes.  Each table draws a token's vector once and hands out the
-    same read-only array after that.
+    An unknown token draws a uniform [-0.1, 0.1] vector from a generator
+    seeded with derive_seed(oov_seed, token), so repeated lookups agree
+    across processes.  Each table draws a token's vector once and hands out
+    the same read-only array after that.
     """
 
     dim: int
@@ -123,11 +139,7 @@ class EmbeddingTable:
         return vec
 
     def _oov_vector(self, token: str) -> np.ndarray:
-        h = hashlib.blake2b(digest_size=8)
-        h.update(str(self.oov_seed).encode("utf-8"))
-        h.update(b"\x00")
-        h.update(token.encode("utf-8"))
-        rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
+        rng = np.random.default_rng(derive_seed(self.oov_seed, token))
         vec = rng.uniform(-0.1, 0.1, size=self.dim).astype(np.float32)
         vec.setflags(write=False)
         return vec
@@ -303,19 +315,12 @@ def qa_dataset_to_tsv(dataset: QADataset) -> str:
     Texts are written token-joined, so load(serialize(ds)) gives the same
     tokens even though the original raw strings are gone.
     """
-    lines = []
-    for q in dataset.questions:
-        qtext = " ".join(q.text)
-        for cand in q.candidates:
-            lines.append(f"{q.question_id}\t{qtext}\t{' '.join(cand.text)}\t{cand.label}")
-    return "".join(line + "\n" for line in lines)
+    return join_lines(f"{q.question_id}\t{' '.join(q.text)}\t{' '.join(c.text)}\t{c.label}"
+                      for q in dataset.questions for c in q.candidates)
 
 
 def embeddings_to_vec_text(table: EmbeddingTable, header: bool = True) -> str:
     """Serialize a table in word2vec text format (optional `count dim` header)."""
-    lines = []
-    if header:
-        lines.append(f"{len(table.entries)} {table.dim}")
-    for token, vec in table.entries.items():
-        lines.append(token + " " + " ".join(repr(float(x)) for x in vec))
-    return "".join(line + "\n" for line in lines)
+    lines = [f"{len(table.entries)} {table.dim}"] if header else []
+    lines += [token + " " + " ".join(repr(float(x)) for x in vec) for token, vec in table.entries.items()]
+    return join_lines(lines)

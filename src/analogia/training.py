@@ -20,11 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analogy_core import EncodedBatch, HyperParams, batch_loss
-from .encoder import EncoderParams, Layout, derive_seed, encode_batch, layout
+from .encoder import EncoderParams, Layout, encode_batch, layout
 from .fsio import atomic_write_bytes, atomic_write_text
 from .numerics import GradTape, Tensor
 from .quadgen import Prototype, generate_training_quadruples
-from .text_data import WH_TYPES, ConfigError, EmbeddingTable, ParseError, QADataset, read_lines, require_finite
+from .text_data import (WH_TYPES, ConfigError, EmbeddingTable, ParseError, QADataset, derive_seed, join_lines,
+                        read_lines, require_finite)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -132,10 +133,8 @@ class TrainResult:
 
 
 def loss_log_to_tsv(log) -> str:
-    lines = [LOSS_LOG_HEADER]
-    for row in log:
-        lines.append(f"{row.epoch}\t{row.mean_loss!r}\t{row.degenerate_quadruples}")
-    return "".join(line + "\n" for line in lines)
+    return join_lines([LOSS_LOG_HEADER, *(f"{row.epoch}\t{row.mean_loss!r}\t{row.degenerate_quadruples}"
+                                          for row in log)])
 
 
 def _distinct_sentences(chunk):
@@ -239,15 +238,11 @@ def save_checkpoint(directory, params: EncoderParams, config: dict,
     os.makedirs(directory, exist_ok=True)
     atomic_write_bytes(os.path.join(directory, WEIGHTS_NAME),
                        np.ascontiguousarray(params.flat.values, dtype="<f4").tobytes())
-    atomic_write_text(os.path.join(directory, MANIFEST_NAME),
-                      "".join(line + "\n" for line in _manifest_lines(params.layout)))
+    atomic_write_text(os.path.join(directory, MANIFEST_NAME), join_lines(_manifest_lines(params.layout)))
     atomic_write_text(os.path.join(directory, CONFIG_NAME), config_text)
-    proto_lines = []
-    for wh in sorted(prototypes):
-        for pr in prototypes[wh]:
-            proto_lines.append(f"{wh}\t{' '.join(pr.question)}\t{' '.join(pr.answer)}")
     atomic_write_text(os.path.join(directory, PROTOTYPES_NAME),
-                      "".join(line + "\n" for line in proto_lines))
+                      join_lines(f"{wh}\t{' '.join(pr.question)}\t{' '.join(pr.answer)}"
+                                 for wh in sorted(prototypes) for pr in prototypes[wh]))
 
 
 def load_checkpoint(directory):

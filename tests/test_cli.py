@@ -318,10 +318,15 @@ class TestQuickStartCheckpoint:
         (["rank", "--checkpoint", "CKPT"], "quickstart_rank.tsv"),
         (["rank", "--checkpoint", "CKPT", "--mode", "dissimilarity"], "quickstart_rank_dissimilarity.tsv"),
         (["baseline", "--method", "mean"], "quickstart_baseline_mean.tsv"),
+        (["baseline", "--method", "mean", "--mode", "dissimilarity"], "quickstart_baseline_mean_dissimilarity.tsv"),
+        (["baseline", "--method", "random", "--seed", "0"], "quickstart_baseline_random_seed0.tsv"),
+        (["baseline", "--method", "random", "--seed", "1"], "quickstart_baseline_random_seed1.tsv"),
+        (["baseline", "--method", "random", "--seed", "7"], "quickstart_baseline_random_seed7.tsv"),
         (["sweep-prototypes", "--checkpoint", "CKPT", "--p", "1,2"], "quickstart_sweep.tsv"),
         (["sweep-prototypes", "--checkpoint", "CKPT", "--mode", "dissimilarity", "--p", "1,2,3"],
          "quickstart_sweep_dissimilarity.tsv"),
-    ], ids=["rank", "rank-dissimilarity", "baseline-mean", "sweep-prototypes", "sweep-prototypes-dissimilarity"])
+    ], ids=["rank", "rank-dissimilarity", "baseline-mean", "baseline-mean-dissimilarity", "baseline-random-seed0",
+            "baseline-random-seed1", "baseline-random-seed7", "sweep-prototypes", "sweep-prototypes-dissimilarity"])
     def test_prints_committed_output(self, capsys, argv, fixture):
         argv = [str(FIXTURES / "quickstart_checkpoint") if a == "CKPT" else a for a in argv]
         rc, out, _ = _run(capsys, [*argv, "--data", str(REPO / "data" / "toy_qa.tsv"),
@@ -574,6 +579,18 @@ class TestConfigResolution:
         assert meta["prototypes"] == 3    # config file wins over default
         assert meta["seed"] == 11
         assert meta["batch_size"] == 32   # untouched default
+
+    @pytest.mark.parametrize("line, key", [("epoch 1", "epoch"), ("data x=y.tsv", "data x")],
+                             ids=["misspelt", "equals-in-value"])
+    def test_unknown_config_key_names_file_line_and_key(self, capsys, corpus_dir, tmp_path, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# keys of any command\nepochs 1\nmethod random\n{line}\n")
+        rc, out, err = _run(capsys, ["train", "--data", str(corpus_dir / "train.tsv"),
+                                     "--embeddings", str(corpus_dir / "vectors.vec"),
+                                     "--config", str(cfg), "--out", str(tmp_path / "model")])
+        assert (rc, out) == (2, "")
+        assert f"{cfg}: line 4: unknown key {key!r}" in err
+        assert not (tmp_path / "model").exists()
 
     def test_bad_config_value_type(self, capsys, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

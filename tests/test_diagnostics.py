@@ -7,7 +7,7 @@ import pytest
 from analogia import diagnostics as dg
 from analogia import analogy_core, encoder
 from analogia.analogy_core import HyperParams
-from analogia.encoder import derive_seed
+from analogia.text_data import derive_seed
 
 
 def _instances(dtype, count=6):

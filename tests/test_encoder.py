@@ -17,7 +17,6 @@ from analogia.encoder import (
     INFERENCE_CHUNK,
     EncoderParams,
     bigru_forward,
-    derive_seed,
     encode,
     encode_batch,
     encode_many,
@@ -25,7 +24,7 @@ from analogia.encoder import (
     sentence_encoder,
 )
 from analogia.numerics import ShapeError
-from analogia.text_data import EmbeddingTable
+from analogia.text_data import EmbeddingTable, derive_seed
 
 F32_TOL = 1e-4
 F64_TOL = 1e-7

@@ -144,6 +144,25 @@ def _toy_world():
     return table, ds, protos
 
 
+@pytest.mark.parametrize("cands, answer", [
+    ([], None),
+    ([("a1", 0)], None),
+    ([("a1", 0), ("a0", 0)], None),
+    ([("a1", 0), ("a0", 1)], ("a0",)),
+    ([("a0 a1", 1), ("a1", 0), ("a0", 1)], ("a0", "a1")),
+], ids=["no-candidates", "one-negative", "negatives-only", "one-positive", "two-positives"])
+def test_one_answerable_rule_for_prototypes_and_ranking(cands, answer):
+    """A question without a positive is never drawn as a prototype and
+    never scorable; one with a positive is drawn with its first positive
+    as the answer, and is scorable once its type has a prototype."""
+    q = _question("w", "who q", cands)
+    drawn = select_prototypes(_dataset(q), 3, seed=0)
+    assert drawn["Who"] == ([] if answer is None else [Prototype(q.text, answer, "Who")])
+    other = {"Who": [Prototype(("who", "else"), ("a1",), "Who")]}
+    assert _scorable(q, other) is (answer is not None)
+    assert not _scorable(q, {"Who": []})
+
+
 class TestEvaluatePipeline:
     def test_perfect_scorer_gets_ones(self):
         """An encoder that separates positives from negatives along the
@@ -425,13 +444,13 @@ class TestEncodeOnce:
     def test_evaluate_encodes_each_distinct_sentence_once(self):
         table, ds, protos = _toy_world()
         fn, calls = _counting(mean_embedding_encoder(table))
-        memo = {}
-        once = evaluate(fn, ds, protos, memo=memo)
+        once = evaluate(fn, ds, protos)
         every_occurrence = _occurrences(ds, protos, once)
         assert len(every_occurrence) > len(set(every_occurrence))  # the toy world repeats sentences
         assert sorted(calls) == sorted(set(every_occurrence))
-        again = evaluate(fn, ds, protos, memo=memo)
-        assert len(calls) == len(set(every_occurrence))
+        again_fn, again_calls = _counting(mean_embedding_encoder(table))
+        again = evaluate(again_fn, ds, protos)
+        assert again_calls == calls
         assert once.report.to_tsv() == again.report.to_tsv()
         assert once.rankings == again.rankings
 
@@ -504,15 +523,6 @@ class TestEncodeFirst:
             evaluate(fn, ds, protos)
         n = len(batches[0])
         assert str(info.value) == f"encode_fn.many returned {n + extra} vectors for {n} sentences"
-
-    def test_memo_skips_encoded_sentences(self):
-        table, ds, protos = _toy_world()
-        fn, batches = _counting_batches(mean_embedding_encoder(table))
-        memo = {}
-        first = evaluate(fn, ds, protos, memo=memo)
-        again = evaluate(fn, ds, protos, memo=memo)
-        assert len(batches) == 1
-        assert again.rankings == first.rankings
 
     def test_sweep_encodes_each_distinct_sentence_once(self):
         table, ds = TestSweep()._world()
@@ -674,7 +684,8 @@ class TestSweepPlan:
     def test_encode_batches_are_those_of_one_evaluate_per_p(self):
         """The first p's distinct sentences in one batch, then each later
         p's prototype sentences not encoded yet, in first-seen order: what
-        evaluating once per p with one memo encodes."""
+        evaluating once per p encodes when sentences already encoded are
+        skipped."""
         table, eval_ds, proto_ds = _sweep_world()
         fn, batches = _counting_batches(mean_embedding_encoder(table))
         self._sweep(fn, eval_ds, proto_ds)

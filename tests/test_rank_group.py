@@ -119,9 +119,28 @@ def test_rank_group_rejects_unknown_mode():
         rank_group(np.zeros((1, 2)), np.zeros((1, 1, 2)), np.ones((1, 2)), mode="mean")
 
 
+def _recording(encode_fn):
+    """encode_fn, and its ``many`` when it has one, recording each vector
+    it returns in the dict returned with it, by token tuple."""
+    vectors = {}
+
+    def fn(tokens):
+        vectors[tuple(tokens)] = vector = encode_fn(tokens)
+        return vector
+
+    many = getattr(encode_fn, "many", None)
+    if many is not None:
+        def batch(sentences):
+            out = many(sentences)
+            vectors.update(zip(map(tuple, sentences), out))
+            return out
+        fn.many = batch
+    return fn, vectors
+
+
 def _oracle_evaluate(memo, dataset, prototypes, mode):
-    """The per-question loop evaluate ran before grouping, over vectors
-    evaluate has already put in memo."""
+    """The per-question loop evaluate ran before grouping, over the vectors
+    evaluate encoded, as _recording kept them in memo."""
     scored, skipped = [], {}
     for q in dataset.questions:
         if not _scorable(q, prototypes):
@@ -184,8 +203,8 @@ def test_evaluate_matches_per_question_loop(mode, learned):
         encode_fn = sentence_encoder(corpus.table, EncoderParams.initialize(8, 6, seed=2))
     else:
         encode_fn = mean_embedding_encoder(corpus.table)
-    memo = {}
-    result = evaluate(encode_fn, dataset, prototypes, mode=mode, memo=memo)
+    encode_fn, memo = _recording(encode_fn)
+    result = evaluate(encode_fn, dataset, prototypes, mode=mode)
     scored, skipped = _oracle_evaluate(memo, dataset, prototypes, mode)
     assert sum(skipped.values()) == 1
     assert len({(q.wh_type, len(q.candidates)) for q in dataset.questions}) > len(WH_TYPES)
@@ -253,9 +272,8 @@ def test_lazy_rankings_equal_the_eager_ones(method):
     corpus, dataset = _varied_corpus()
     prototypes = select_prototypes(corpus.train, p=3, seed=1)
     if method in RANK_MODES:
-        memo = {}
-        result = evaluate(sentence_encoder(corpus.table, EncoderParams.initialize(8, 6, seed=2)), dataset,
-                          prototypes, mode=method, memo=memo)
+        encode_fn, memo = _recording(sentence_encoder(corpus.table, EncoderParams.initialize(8, 6, seed=2)))
+        result = evaluate(encode_fn, dataset, prototypes, mode=method)
         eager, _ = _oracle_evaluate(memo, dataset, prototypes, method)
     else:
         seed = int(method.split("-")[1])

@@ -10,10 +10,20 @@ import numpy as np
 import pytest
 
 from analogia import encoder, training
-from analogia.encoder import EncoderParams, derive_seed
+from analogia.encoder import EncoderParams
 from analogia.numerics import GradTape, Tensor
 from analogia.quadgen import Prototype, generate_training_quadruples, select_prototypes
-from analogia.text_data import Candidate, ConfigError, EmbeddingTable, ParseError, QADataset, Question, classify_question, tokenize
+from analogia.text_data import (
+    Candidate,
+    ConfigError,
+    EmbeddingTable,
+    ParseError,
+    QADataset,
+    Question,
+    classify_question,
+    derive_seed,
+    tokenize,
+)
 from analogia.training import (
     AdamState,
     TrainConfig,
