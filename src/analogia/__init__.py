@@ -8,11 +8,13 @@ quadruples with a contrastive loss over that cosine; evaluation ranks
 candidates by their best prototype and reports MAP/MRR per wh-type.
 
 The package is a plain numpy library.  Everything heavier lives in
-submodules: ``numerics`` (the reverse-mode tape), ``encoder`` (BiGRU +
-temporal max pooling), ``quadgen`` (prototype and quadruple
-construction), ``training`` (Adam + checkpoints), ``evaluation``
-(MAP/MRR + baselines), ``synthetic`` (a self-grading toy corpus),
-``diagnostics`` (finite-difference audits), and ``cli``.
+submodules: ``numerics`` (the reverse-mode tape), ``text_data``
+(tokenizer, dataset and word-vector loading), ``encoder`` (BiGRU +
+temporal max pooling), ``analogy_core`` (dissimilarity, energy, loss and
+ranking), ``quadgen`` (prototype and quadruple construction),
+``training`` (Adam + checkpoints), ``evaluation`` (MAP/MRR + baselines),
+``synthetic`` (a self-grading toy corpus), ``diagnostics``
+(finite-difference audits), ``fsio`` (atomic file writes), and ``cli``.
 """
 
 from .analogy_core import (

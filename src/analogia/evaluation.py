@@ -1,21 +1,23 @@
 """MRR/MAP metrics, the ranking pipeline, baselines, and prototype sweeps.
 
-Questions are evaluated only when they can be scored meaningfully: they
-need at least one gold-positive candidate, at least one same-type
-prototype, and no empty sentences.  Everything else is counted as skipped,
-per subset, so all methods report over an identical question set.
+Questions are evaluated only when they can be scored meaningfully:
+quadgen.usable (a gold-positive candidate, and no sentence without
+tokens) and at least one same-type prototype.  Everything else is counted
+as skipped, per subset, so all methods report over an identical question
+set.
 
 Ranking a question set runs in two parts.  A plan is prepared once: the
-scorable filter and the skipped counts, one encoding of the distinct
-sentences, and for each (wh-type, candidate count) group its question
-and candidate vectors as float64 arrays and its gold labels.  Ranking the
-plan against one prototype set then encodes only prototype sentences not
-seen yet, makes one rank_group call per group, and reads the labels in
+scorable filter and the skipped counts, one encode call over the distinct
+sentences of the prototypes and the scorable questions, and for each
+(wh-type, candidate count) group its question and candidate vectors as
+float64 arrays and its gold labels.  Ranking the plan against a prototype
+set encodes nothing: it gathers the prototypes' rows of the plan's
+vectors, makes one rank_group call per group, and reads the labels in
 rank order from the group's label array.  evaluate prepares and ranks
-once; sweep_prototypes draws its prototypes and prepares once, and ranks
-once per prototype count.  random_rank orders through GroupRanking too.
-Results keep these per-group arrays, and build ScoredQuestion objects only
-when their ``rankings`` are first read.
+once; sweep_prototypes draws its prototypes once, at the largest count,
+prepares once with them, and ranks once per count.  random_rank orders
+through GroupRanking too.  Results keep these per-group arrays, and build
+ScoredQuestion objects only when their ``rankings`` are first read.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .analogy_core import ENERGY_MODE, GroupRanking, RankedList, ShapeError, check_mode, rank_group
 from .analogy_core import rank_candidates  # noqa: F401  perfbench/spans.py wraps evaluation.rank_candidates
-from .quadgen import Prototype, gold_answer, select_prototypes
+from .quadgen import Prototype, select_prototypes, usable
 from .text_data import OTHER, WH_TYPES, EmbeddingTable, QADataset, join_lines
 
 REPORT_SUBSETS = WH_TYPES + (OTHER, "Combined")
@@ -167,27 +169,23 @@ def _build_report(wh_types: list[str], label_lists: list, skipped: dict[str, int
 
 
 def _scorable(question, prototypes) -> bool:
-    return (question.wh_type != OTHER and bool(prototypes.get(question.wh_type)) and len(question.text) > 0
-            and gold_answer(question) is not None and all(c.text for c in question.candidates))
+    return question.wh_type != OTHER and bool(prototypes.get(question.wh_type)) and usable(question)
 
 
-def _encode_all(encode_fn, sentences, memo: dict) -> None:
-    """Put the vectors of the distinct sentences not yet in ``memo`` into
-    it, in first-seen order, with one call of encode_fn.many when encode_fn
-    has it and one encode_fn call per sentence when it does not."""
-    missing = [s for s in dict.fromkeys(map(tuple, sentences)) if s not in memo]
-    if not missing:
-        return
+def _encode(encode_fn, sentences: list) -> np.ndarray:
+    """The (S, d) float64 vectors of ``sentences``, in order: one call of
+    encode_fn.many when encode_fn has it, else one encode_fn call per
+    sentence."""
+    if not sentences:
+        return np.empty((0, 0))
     many = getattr(encode_fn, "many", None)
-    vectors = many(missing) if many is not None else [encode_fn(s) for s in missing]
-    if len(vectors) != len(missing):
-        raise ShapeError(f"encode_fn.many returned {len(vectors)} vectors for {len(missing)} sentences")
-    for s, v in zip(missing, vectors):
-        memo[s] = v
-
-
-def _prototype_sentences(prototypes):
-    return (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer))
+    vectors = many(sentences) if many is not None else [encode_fn(s) for s in sentences]
+    if len(vectors) != len(sentences):
+        raise ShapeError(f"encode_fn.many returned {len(vectors)} vectors for {len(sentences)} sentences")
+    M = np.array(vectors, dtype=np.float64)
+    if M.ndim != 2:
+        raise ShapeError(f"encode_fn must return vectors, got shape {M.shape[1:]}")
+    return M
 
 
 class _Group(NamedTuple):
@@ -206,16 +204,16 @@ class _Plan(NamedTuple):
     questions: list  # the scorable questions, in dataset order
     skipped: dict[str, int]
     groups: list[_Group]
-    encode_fn: object = None
-    memo: dict | None = None  # token tuple -> encode_fn's vector
+    vectors: np.ndarray | None = None  # (S, d) float64, one row per distinct sentence
+    rows: dict | None = None  # token tuple -> its row of vectors
 
 
 def _prepare(encode_fn, dataset: QADataset, prototypes) -> _Plan:
     """Filter, group and, unless encode_fn is None, encode ``dataset`` once:
     the scorable questions in dataset order, the others counted per
     wh-type, and each group's gold labels, checked binary.  The prototypes
-    decide which wh-types are scorable, and their sentences are encoded
-    first, in the same encode_fn.many call as the questions'."""
+    decide which wh-types are scorable; their distinct sentences, then the
+    questions', are encoded in one _encode call."""
     questions, skipped, members = [], {}, {}
     for q in dataset.questions:
         if not _scorable(q, prototypes):
@@ -229,28 +227,22 @@ def _prepare(encode_fn, dataset: QADataset, prototypes) -> _Plan:
     if encode_fn is None:
         return _Plan(questions, skipped, groups)
     sentences = list(dict.fromkeys(map(tuple, itertools.chain(
-        _prototype_sentences(prototypes),
+        (s for protos in prototypes.values() for pr in protos for s in (pr.question, pr.answer)),
         (s for q in questions for s in (q.text, *(c.text for c in q.candidates)))))))
-    memo = {}
-    _encode_all(encode_fn, sentences, memo)
-    M = np.array([memo[s] for s in sentences], dtype=np.float64)
-    if sentences and M.ndim != 2:
-        raise ShapeError(f"encode_fn must return vectors, got shape {M.shape[1:]}")
-    index = {s: i for i, s in enumerate(sentences)}
-    groups = [g._replace(q=M[[index[tuple(questions[i].text)] for i in g.members]],
-                         C=M[[[index[tuple(c.text)] for c in questions[i].candidates] for i in g.members]])
+    M = _encode(encode_fn, sentences)
+    rows = {s: i for i, s in enumerate(sentences)}
+    groups = [g._replace(q=M[[rows[tuple(questions[i].text)] for i in g.members]],
+                         C=M[[[rows[tuple(c.text)] for c in questions[i].candidates] for i in g.members]])
               for g in groups]
-    return _Plan(questions, skipped, groups, encode_fn, memo)
+    return _Plan(questions, skipped, groups, M, rows)
 
 
 def _rank(plan: _Plan, prototypes, mode: str) -> list[GroupRanking]:
     """One rank_group call per group of the plan against ``prototypes``,
-    which must hold a prototype for every wh-type the plan ranks; their
-    sentences not yet encoded are encoded in one call first."""
-    _encode_all(plan.encode_fn, _prototype_sentences(prototypes), plan.memo)
-
+    which must hold a prototype for every wh-type the plan ranks, each of
+    its sentences among those the plan encoded.  It encodes nothing."""
     def vectors(token_seqs):
-        return np.array([plan.memo[tuple(s)] for s in token_seqs], dtype=np.float64)
+        return plan.vectors[[plan.rows[tuple(s)] for s in token_seqs]]
 
     shifts = {}
     for g in plan.groups:
@@ -269,13 +261,10 @@ def _in_dataset_order(n: int, per_group) -> list:
     return out
 
 
-def _ranked_labels(plan: _Plan, rankings: list[GroupRanking]) -> list[list[int]]:
-    return _in_dataset_order(len(plan.questions), ((g.members, np.take_along_axis(g.labels, r.order, 1).tolist())
-                                                   for g, r in zip(plan.groups, rankings)))
-
-
 def _result(plan: _Plan, rankings: list[GroupRanking]) -> EvaluationResult:
-    report = _build_report([q.wh_type for q in plan.questions], _ranked_labels(plan, rankings), plan.skipped)
+    labels = _in_dataset_order(len(plan.questions), ((g.members, np.take_along_axis(g.labels, r.order, 1).tolist())
+                                                     for g, r in zip(plan.groups, rankings)))
+    report = _build_report([q.wh_type for q in plan.questions], labels, plan.skipped)
     groups = tuple((g.members, r) for g, r in zip(plan.groups, rankings))
     return EvaluationResult(report, tuple(plan.questions), groups)
 
@@ -294,11 +283,11 @@ def evaluate(encode_fn, dataset: QADataset, prototypes: dict[str, list[Prototype
     collected in first-seen order and encoded in one call of
     ``encode_fn.many`` (a list of token tuples to their vectors, in order)
     when encode_fn has that attribute, as encoder.sentence_encoder does, or
-    else by one encode_fn call each.  Ranking then stacks those vectors as
-    float64 rows and makes one rank_group call per wh-type and candidate
-    count, which scores each question with the bits it gets alone.  The
-    result keeps the rankings as those calls' arrays; its ``rankings``
-    become ScoredQuestion objects only when first read.
+    else by one encode_fn call each.  Ranking encodes nothing: it gathers
+    those vectors as float64 rows and makes one rank_group call per
+    wh-type and candidate count, which scores each question with the bits
+    it gets alone.  The result keeps the rankings as those calls' arrays;
+    its ``rankings`` become ScoredQuestion objects only when first read.
     """
     check_mode(mode)
     plan = _prepare(encode_fn, dataset, prototypes)
@@ -359,11 +348,10 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
     takes the first p of every wh-type's draw, which is what
     select_prototypes gives at p with the same seed.
 
-    The plan (scorable filter, one encoding of the questions' and first
-    count's prototype sentences, grouped vectors and labels) is prepared
-    once.  Each count then encodes only its prototype sentences not seen
-    yet, in one call, makes one rank_group call per group and sums the
-    Combined row, bit for bit as evaluate's.
+    The plan is prepared once, with the largest count's prototypes, so the
+    sweep makes evaluate's one encode call at that count.  Each count then
+    ranks the plan, encoding nothing, and its row is the Combined row of
+    evaluate's report.
     """
     check_mode(mode)
     p_values = list(p_values)
@@ -372,20 +360,13 @@ def sweep_prototypes(encode_fn, eval_dataset: QADataset, proto_dataset: QADatase
     if min(p_values) < 1:
         raise ValueError(f"p must be >= 1, got {min(p_values)}")
     drawn = select_prototypes(proto_dataset, max(p_values), seed)
-    draws = [{wh: protos[:p] for wh, protos in drawn.items()} for p in p_values]
-    # The scorable set does not depend on p: a wh-type gets at least one
-    # prototype either at every p >= 1 (it has an answerable question in
-    # proto_dataset) or at none, so the first count's prototypes decide it.
-    plan = _prepare(encode_fn, eval_dataset, draws[0])
-    rows = []
-    warnings = []
-    for p, prototypes in zip(p_values, draws):
-        for wh in WH_TYPES:
-            got = len(prototypes[wh])
-            if got < p:
-                warnings.append(f"p={p}: only {got} answerable {wh} questions available")
-        labels = _ranked_labels(plan, _rank(plan, prototypes, mode))
-        combined = _subset_metrics("Combined", _question_scores(labels), sum(plan.skipped.values()))
+    plan = _prepare(encode_fn, eval_dataset, drawn)
+    rows, warnings = [], []
+    for p in p_values:
+        prototypes = {wh: protos[:p] for wh, protos in drawn.items()}
+        warnings += [f"p={p}: only {len(prototypes[wh])} answerable {wh} questions available"
+                     for wh in WH_TYPES if len(prototypes[wh]) < p]
+        combined = _result(plan, _rank(plan, prototypes, mode)).report.row("Combined")
         rows.append(SweepRow(p=p, map=combined.map, mrr=combined.mrr))
     return SweepResult(rows=tuple(rows), warnings=tuple(warnings))
 

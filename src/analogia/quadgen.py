@@ -44,28 +44,34 @@ class Quadruple:
 
 
 def gold_answer(question: Question) -> tuple[str, ...] | None:
-    """The text of the question's first label-1 candidate, or None: only a
-    question with one is answerable, drawn as a prototype or ranked."""
+    """The text of the question's first label-1 candidate, or None."""
     for c in question.candidates:
         if c.label == 1:
             return c.text
     return None
 
 
+def usable(question: Question) -> bool:
+    """Whether the question may be drawn as a prototype, trained on or
+    ranked: its text and every candidate have tokens, and it has a
+    gold_answer."""
+    return (len(question.text) > 0 and all(c.text for c in question.candidates)
+            and gold_answer(question) is not None)
+
+
 def select_prototypes(dataset: QADataset, p: int, seed: int) -> dict[str, list[Prototype]]:
     """Up to p prototypes per wh-type, drawn by seeded shuffle.
 
-    Only answerable questions qualify; each contributes at most one
-    prototype, its gold_answer as the answer.  A type with no answerable
-    questions yields an empty list (the caller decides whether that
-    warrants a warning).
+    Only usable questions qualify; each contributes at most one prototype,
+    its gold_answer as the answer.  A type with no usable questions yields
+    an empty list (the caller decides whether that warrants a warning).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     rng = np.random.default_rng(seed)
     out: dict[str, list[Prototype]] = {}
     for wh in WH_TYPES:
-        pairs = [(q.text, answer) for q in dataset.by_type(wh) if (answer := gold_answer(q)) is not None]
+        pairs = [(q.text, gold_answer(q)) for q in dataset.by_type(wh) if usable(q)]
         order = rng.permutation(len(pairs))
         out[wh] = [Prototype(*pairs[i], wh_type=wh) for i in order[:p]]
     return out
@@ -77,10 +83,10 @@ def generate_training_quadruples(dataset: QADataset, prototypes: dict[str, list[
 
     For every same-type (prototype, question, correct answer) triple there
     is one positive, followed by up to negatives_per_positive negatives
-    drawn without replacement from that question's wrong answers.
-    Prototype questions never appear as targets.  Iteration order is fixed
-    (types, then prototypes, then dataset question order), so the output is
-    a pure function of (inputs, seed).
+    drawn without replacement from that question's wrong answers.  Targets
+    are the usable questions that are not prototype questions.  Iteration
+    order is fixed (types, then prototypes, then dataset question order),
+    so the output is a pure function of (inputs, seed).
     """
     if negatives_per_positive < 0:
         raise ValueError(f"negatives_per_positive must be >= 0, got {negatives_per_positive}")
@@ -91,7 +97,7 @@ def generate_training_quadruples(dataset: QADataset, prototypes: dict[str, list[
         if not protos:
             continue
         proto_questions = {pr.question for pr in protos}
-        targets = [q for q in dataset.by_type(wh) if q.text not in proto_questions]
+        targets = [q for q in dataset.by_type(wh) if q.text not in proto_questions and usable(q)]
         for pr in protos:
             for q in targets:
                 wrong = [c for c in q.candidates if c.label == 0]

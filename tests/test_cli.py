@@ -303,9 +303,9 @@ class TestDataErrors:
 
 class TestQuickStartCheckpoint:
     """The README quick start against a committed checkpoint of it, written
-    by an earlier version of the trainer: eval, rank, baseline and
-    sweep-prototypes print the committed outputs, and train writes the same
-    files byte for byte."""
+    by an earlier version of the trainer: eval, rank, baseline,
+    sweep-prototypes and gen-quadruples print the committed outputs, and
+    train writes the same files byte for byte."""
 
     def test_eval_prints_committed_report(self, capsys):
         rc, out, _ = _run(capsys, ["eval", "--checkpoint", str(FIXTURES / "quickstart_checkpoint"),
@@ -334,6 +334,12 @@ class TestQuickStartCheckpoint:
         assert rc == 0
         assert out == (FIXTURES / fixture).read_text()
 
+    def test_gen_quadruples_prints_committed_output(self, capsys):
+        rc, out, _ = _run(capsys, ["gen-quadruples", "--data", str(REPO / "data" / "toy_qa.tsv"),
+                                   "--prototypes", "2", "--seed", "0"])
+        assert rc == 0
+        assert out == (FIXTURES / "quickstart_quadruples.tsv").read_text()
+
     def test_train_writes_committed_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(REPO)  # config.json records the data paths as given
         out = tmp_path / "model"
@@ -342,6 +348,54 @@ class TestQuickStartCheckpoint:
         assert rc == 0
         for name in ("weights.bin", "manifest.txt", "config.json", "prototypes.tsv", LOSS_LOG_FILE):
             assert (out / name).read_bytes() == (FIXTURES / "quickstart_checkpoint" / name).read_bytes(), name
+
+
+class TestTokenLessGoldAnswers:
+    """The quick-start data with every Who gold answer set to `!!!`, which
+    has no tokens: each command skips those questions instead of failing
+    on an empty sentence."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        lines = []
+        for line in (REPO / "data" / "toy_qa.tsv").read_text().splitlines():
+            qid, question, answer, label = line.split("\t")
+            lines.append("\t".join((qid, question, "!!!" if qid.startswith("w") and label == "1" else answer, label)))
+        path = tmp_path / "toy_qa.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", str(FIXTURES / "quickstart_checkpoint"), "--data", "DATA"],
+        ["baseline", "--data", "DATA"],
+        ["baseline", "--data", "DATA", "--method", "random"],
+    ], ids=["eval", "baseline-mean", "baseline-random"])
+    def test_reports_count_the_questions_as_skipped(self, capsys, data, argv):
+        rc, out, err = _run(capsys, [data if a == "DATA" else a for a in argv]
+                            + ["--embeddings", str(REPO / "data" / "toy_vectors.vec")])
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1] == "Who\t0\t3\tnan\tnan"
+
+    def test_train_draws_no_who_prototype(self, capsys, data, tmp_path):
+        rc, _, err = _run(capsys, ["train", "--data", data, "--embeddings", str(REPO / "data" / "toy_vectors.vec"),
+                                   "--prototypes", "2", "--epochs", "1", "--dim", "8", "--out", str(tmp_path / "m")])
+        assert (rc, err) == (0, "")
+        kinds = {line.split("\t")[0] for line in (tmp_path / "m" / "prototypes.tsv").read_text().splitlines()}
+        assert "Who" not in kinds and "When" in kinds
+
+    def test_sweep_draws_no_who_prototype(self, capsys, data):
+        rc, out, _ = _run(capsys, ["sweep-prototypes", "--checkpoint", str(FIXTURES / "quickstart_checkpoint"),
+                                   "--data", str(REPO / "data" / "toy_qa.tsv"), "--proto-data", data,
+                                   "--embeddings", str(REPO / "data" / "toy_vectors.vec"), "--p", "1,2"])
+        assert rc == 0
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["p", "1", "2"]
+
+    def test_gen_quadruples_writes_no_empty_field(self, capsys, data):
+        rc, out, _ = _run(capsys, ["gen-quadruples", "--data", data, "--prototypes", "2"])
+        assert rc == 0
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert rows and all(len(r) == 6 and all(r) for r in rows)
+        assert {r[0] for r in rows} == {"When", "Where"}
 
 
 class TestGenQuadruples:

@@ -1,6 +1,7 @@
 """Metric formulas against exhaustive oracles, the evaluation pipeline,
 baselines, and report serialization."""
 
+import dataclasses
 import itertools
 import math
 
@@ -25,7 +26,7 @@ from analogia.evaluation import (
     sweep_prototypes,
 )
 from analogia.numerics import ShapeError
-from analogia.quadgen import Prototype, select_prototypes
+from analogia.quadgen import Prototype, generate_training_quadruples, select_prototypes, usable
 from analogia.text_data import Candidate, EmbeddingTable, QADataset, Question, classify_question, tokenize
 
 
@@ -161,6 +162,24 @@ def test_one_answerable_rule_for_prototypes_and_ranking(cands, answer):
     other = {"Who": [Prototype(("who", "else"), ("a1",), "Who")]}
     assert _scorable(q, other) is (answer is not None)
     assert not _scorable(q, {"Who": []})
+
+
+@pytest.mark.parametrize("edit", [None, "question", "positive", "negative"])
+def test_one_usable_rule_for_prototypes_training_and_ranking(edit):
+    """A question whose text or some candidate has no tokens is never drawn
+    as a prototype, never a training target and never scorable."""
+    q = _question("w", "who q", [("a0", 1), ("a1", 0)])
+    if edit == "question":
+        q = dataclasses.replace(q, text=())
+    elif edit is not None:
+        k = 0 if edit == "positive" else 1
+        q = dataclasses.replace(q, candidates=tuple(dataclasses.replace(c, text=()) if i == k else c
+                                                    for i, c in enumerate(q.candidates)))
+    other = {"Who": [Prototype(("who", "else"), ("a1",), "Who")]}
+    assert usable(q) is (edit is None)
+    assert bool(select_prototypes(_dataset(q), 3, seed=0)["Who"]) is (edit is None)
+    assert bool(generate_training_quadruples(_dataset(q), other, 1, seed=0)) is (edit is None)
+    assert _scorable(q, other) is (edit is None)
 
 
 class TestEvaluatePipeline:
@@ -681,23 +700,27 @@ class TestSweepPlan:
         assert res.warnings == tuple(w for r in per_p for w in r.warnings)
         assert res.warnings  # no Where question of the prototype set is answerable
 
-    def test_encode_batches_are_those_of_one_evaluate_per_p(self):
-        """The first p's distinct sentences in one batch, then each later
-        p's prototype sentences not encoded yet, in first-seen order: what
-        evaluating once per p encodes when sentences already encoded are
-        skipped."""
+    def test_one_encode_batch_that_of_evaluate_at_the_largest_p(self):
+        """The sweep encodes once, before it ranks any p: the batch that
+        evaluate encodes with the largest p's prototypes."""
         table, eval_ds, proto_ds = _sweep_world()
         fn, batches = _counting_batches(mean_embedding_encoder(table))
         self._sweep(fn, eval_ds, proto_ds)
-        want, seen = [], set()
-        for p in self.P_VALUES:
-            protos = select_prototypes(proto_ds, p, 0)
-            sentences = [s for group in protos.values() for pr in group for s in (pr.question, pr.answer)]
-            sentences += [s for q in eval_ds.questions if _scorable(q, protos)
-                          for s in (q.text, *(c.text for c in q.candidates))]
-            missing = [s for s in dict.fromkeys(sentences) if s not in seen]
-            if missing:
-                want.append(missing)
-                seen.update(missing)
-        assert len(want) == 3  # p = 2 adds no sentence after p = 3
-        assert batches == want
+        evaluate_fn, evaluate_batches = _counting_batches(mean_embedding_encoder(table))
+        evaluate(evaluate_fn, eval_ds, select_prototypes(proto_ds, max(self.P_VALUES), 0))
+        assert len(batches) == 1
+        assert batches == evaluate_batches
+
+    @pytest.mark.parametrize("mode", RANK_MODES)
+    def test_learned_encoder_gives_evaluates_row_at_the_largest_p(self, mode):
+        """sentence_encoder's vectors may depend on the batch; the sweep's
+        one batch is evaluate's at the largest p, so that row matches
+        evaluate's Combined row bit for bit."""
+        table, eval_ds, proto_ds = _sweep_world()
+        encode_fn = sentence_encoder(table, EncoderParams.initialize(table.dim, 3, seed=1))
+        res = self._sweep(encode_fn, eval_ds, proto_ds, mode)
+        p = max(self.P_VALUES)
+        combined = evaluate(encode_fn, eval_ds, select_prototypes(proto_ds, p, 0), mode=mode).report.row("Combined")
+        (row,) = [r for r in res.rows if r.p == p]
+        assert combined.questions > 0
+        assert (repr(row.map), repr(row.mrr)) == (repr(combined.map), repr(combined.mrr))

@@ -1,11 +1,16 @@
 """The package's public surface: every name in ``analogia.__all__`` exists,
-and so does every function the benchmark's traced runs wrap."""
+so does every function the benchmark's traced runs wrap, and the README
+names every module and command."""
 
+import re
 from pathlib import Path
 
 import analogia
+from analogia import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
+README = (REPO / "README.md").read_text()
 
 
 def test_every_exported_name_resolves():
@@ -27,3 +32,13 @@ def test_perfbench_wrapper_targets_resolve(monkeypatch):
     import workloads
 
     spans.LayerProbe(workloads.MODULES, spans.Tracer("t")).require_targets()
+
+
+def test_readme_layout_names_every_module():
+    layout = README.split("## Layout", 1)[1].split("```")[1]
+    modules = {path.name for path in (REPO / "src" / "analogia").glob("*.py") if not path.name.startswith("_")}
+    assert modules - set(re.findall(r"^  (\w+\.py) ", layout, re.M)) == set()
+
+
+def test_readme_command_table_names_every_command():
+    assert set(cli._COMMANDS) - set(re.findall(r"^\| `([\w-]+)` \|", README, re.M)) == set()
